@@ -40,7 +40,6 @@ from .newton import (
     NewtonOutcome,
     NoConvergenceError,
     newton_root,
-    sector_index,
     sector_seed,
     select_seed,
     solve_pure_power,
@@ -113,7 +112,6 @@ __all__ = [
     "roots_to_poly",
     "rotated_frame",
     "sector_duration",
-    "sector_index",
     "sector_seed",
     "sector_statistics",
     "select_seed",

@@ -20,10 +20,11 @@ import math
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .closedform import solve_cubic, solve_quadratic, solve_quartic
-from .complexity import max_cup_length, smale_bound
+from .complexity import max_cup_length
 from .fractal import render, sector_statistics, write_image, write_pgm
 from .newton import NewtonConfig, NoConvergenceError, solve_pure_power
 from .poly import MonicPolynomial, has_repeated_roots
@@ -31,7 +32,14 @@ from .powiter import solve_by_power_iteration
 from .report import RootReport
 from .tracing import BranchTrace, make_report, worst_case_branches
 
-CLOSED_FORM_DEGREES = (2, 3, 4)
+CLOSED_FORM = {2: solve_quadratic, 3: solve_cubic, 4: solve_quartic}
+CLOSED_FORM_DEGREES = tuple(CLOSED_FORM)
+
+_SOLVE_CONFIG = NewtonConfig(threshold_r=1e-8, max_iters=100)
+_COINCIDENT_ROOTS = (
+    "roots coincide within 1e-09; the input sits outside the"
+    " guaranteed distinct-root domain"
+)
 
 _DISK_RADIUS = 10.0
 
@@ -95,92 +103,69 @@ def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    config = NewtonConfig(threshold_r=args.epsilon, max_iters=args.max_iters)
-    method = "pure-power" if args.pure_power else args.method
+def solve(
+    poly: MonicPolynomial,
+    method: str = "closed-form",
+    config: NewtonConfig | None = None,
+) -> RootReport:
+    """All roots of ``poly`` by one method, as the ``solve`` command reports them.
 
-    if method == "pure-power":
-        if args.d is not None or args.S is not None:
-            if args.d is None or args.S is None:
-                raise ValueError("--d and --S go together")
-            if args.coeffs is not None:
-                raise ValueError("give either --coeffs or --d/--S, not both")
-            d = args.d
-            S = parse_complex(args.S)
-        elif args.coeffs is not None:
-            coeffs = parse_coeffs(args.coeffs)
-            if any(c != 0 for c in coeffs[1:]):
+    ``method`` is "closed-form" (degrees 2-4), "pure-power" (t**d - S, every
+    coefficient above a0 zero) or "power-iteration"; ``config`` defaults to
+    the command's own defaults.  Roots that coincide within 1e-9 add a
+    warning, since the input then sits outside the distinct-root domain.
+    """
+    config = config or _SOLVE_CONFIG
+    if method == "power-iteration":
+        report = solve_by_power_iteration(
+            poly, max_iters=config.max_iters, tol=config.threshold_r
+        )
+    else:
+        trace = BranchTrace()
+        if method == "pure-power":
+            if any(c != 0 for c in poly.coeffs[1:]):
                 raise ValueError(
                     "pure-power needs every coefficient above a0 to be zero"
                 )
-            d = len(coeffs)
-            S = -coeffs[0]
+            roots = solve_pure_power(poly.degree, -poly.coeffs[0], config, trace)
+        elif method == "closed-form":
+            solver = CLOSED_FORM.get(poly.degree)
+            if solver is None:
+                raise ValueError(
+                    f"closed-form handles degrees {CLOSED_FORM_DEGREES},"
+                    f" got {poly.degree}"
+                )
+            roots = solver(*reversed(poly.coeffs), config, trace)
         else:
-            raise ValueError("pure-power needs --d and --S (or --coeffs)")
-        if d < 2:
-            raise ValueError("degree must be at least 2")
-        poly = MonicPolynomial((-S,) + (0j,) * (d - 1))
-        trace = BranchTrace()
-        roots = solve_pure_power(d, S, config, trace)
-        shared_iters = trace.computation_count
+            raise ValueError(f"unknown method {method!r}")
         report = RootReport(
             roots=roots,
             residuals=tuple(abs(poly(z)) for z in roots),
             branch_count=trace.branch_count,
-            method="pure-power",
-            per_root_iterations=(shared_iters,) * d,
+            method=method,
+            per_root_iterations=(trace.computation_count,) * len(roots),
         )
-    elif method == "closed-form":
-        if args.coeffs is None:
-            raise ValueError("--coeffs is required for closed-form")
-        coeffs = parse_coeffs(args.coeffs)
-        d = len(coeffs)
-        if d not in CLOSED_FORM_DEGREES:
-            raise ValueError(
-                f"closed-form handles degrees {CLOSED_FORM_DEGREES}, got {d}"
-            )
-        poly = MonicPolynomial(coeffs)
-        trace = BranchTrace()
-        if d == 2:
-            roots = solve_quadratic(coeffs[1], coeffs[0], config, trace)
-        elif d == 3:
-            roots = solve_cubic(coeffs[2], coeffs[1], coeffs[0], config, trace)
-        else:
-            roots = solve_quartic(
-                coeffs[3], coeffs[2], coeffs[1], coeffs[0], config, trace
-            )
-        shared_iters = trace.computation_count
-        report = RootReport(
-            roots=roots,
-            residuals=tuple(abs(poly(z)) for z in roots),
-            branch_count=trace.branch_count,
-            method="closed-form",
-            per_root_iterations=(shared_iters,) * d,
-        )
-    else:  # power-iteration
-        if args.coeffs is None:
-            raise ValueError("--coeffs is required for power-iteration")
-        coeffs = parse_coeffs(args.coeffs)
-        poly = MonicPolynomial(coeffs)
-        report = solve_by_power_iteration(
-            poly, max_iters=args.max_iters, tol=args.epsilon
-        )
-
-    warnings = list(report.warnings)
     if has_repeated_roots(report.roots, tol=1e-9):
-        warnings.append(
-            "roots coincide within 1e-09; the input sits outside the"
-            " guaranteed distinct-root domain"
-        )
-    if warnings != list(report.warnings):
-        report = RootReport(
-            roots=report.roots,
-            residuals=report.residuals,
-            branch_count=report.branch_count,
-            method=report.method,
-            per_root_iterations=report.per_root_iterations,
-            warnings=tuple(warnings),
-        )
+        report = replace(report, warnings=report.warnings + (_COINCIDENT_ROOTS,))
+    return report
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    config = NewtonConfig(threshold_r=args.epsilon, max_iters=args.max_iters)
+    method = "pure-power" if args.pure_power else args.method
+    if method == "pure-power" and (args.d is not None or args.S is not None):
+        if args.d is None or args.S is None:
+            raise ValueError("--d and --S go together")
+        if args.coeffs is not None:
+            raise ValueError("give either --coeffs or --d/--S, not both")
+        poly = MonicPolynomial((-parse_complex(args.S),) + (0j,) * (args.d - 1))
+    elif args.coeffs is not None:
+        poly = MonicPolynomial(parse_coeffs(args.coeffs))
+    elif method == "pure-power":
+        raise ValueError("pure-power needs --d and --S (or --coeffs)")
+    else:
+        raise ValueError(f"--coeffs is required for {method}")
+    report = solve(poly, method, config)
     print(report.to_json(indent=2))
     return 2 if report.warnings else 0
 
@@ -229,29 +214,24 @@ def _measure_branches(
     solver on right-hand sides from the same disk.  Failed runs still
     contribute the branches they spent before stopping.
     """
+    solver = CLOSED_FORM.get(d)
     traces: list[BranchTrace] = []
-    if d in CLOSED_FORM_DEGREES:
-        solver = {2: solve_quadratic, 3: solve_cubic, 4: solve_quartic}[d]
-        for _ in range(samples):
-            coeffs = [_random_disk(rng) for _ in range(d)]
-            trace = BranchTrace()
-            try:
-                solver(*reversed(coeffs), config, trace)
-            except NoConvergenceError:
-                pass
-            traces.append(trace)
-        return worst_case_branches(traces), "closed-form"
     for _ in range(samples):
-        S = _random_disk(rng)
-        while S == 0:
-            S = _random_disk(rng)
         trace = BranchTrace()
         try:
-            solve_pure_power(d, S, config, trace)
+            if solver is not None:
+                coeffs = [_random_disk(rng) for _ in range(d)]
+                solver(*reversed(coeffs), config, trace)
+            else:
+                S = _random_disk(rng)
+                while S == 0:
+                    S = _random_disk(rng)
+                solve_pure_power(d, S, config, trace)
         except NoConvergenceError:
             pass
         traces.append(trace)
-    return worst_case_branches(traces), "pure-power"
+    suite = "pure-power" if solver is None else "closed-form"
+    return worst_case_branches(traces), suite
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -268,21 +248,22 @@ def cmd_bound(args: argparse.Namespace) -> int:
         rng = random.Random(args.rng_seed * 1_000_003 + d)
         measured, suite = _measure_branches(d, args.samples, rng, config)
         certificate = max_cup_length(d)
+        report = make_report(d, measured)
         rows.append(
             {
                 "d": d,
-                "smale_bound": smale_bound(d),
+                "smale_bound": report.smale_lower_bound,
                 "budget": certificate.budget,
                 "cup_cardinality": certificate.cardinality,
                 "cup_total_weight": certificate.total_weight,
                 "cup_pairs": [[pair.m, pair.k] for pair in certificate.pairs],
                 "measured_branches": measured,
-                "bound_satisfied": measured > smale_bound(d),
+                "bound_satisfied": report.bound_satisfied,
                 "suite": suite,
                 "samples": args.samples,
             }
         )
-        reports.append(make_report(d, measured).to_json_dict())
+        reports.append(report.to_json_dict())
 
     if args.json:
         _print_json({"schema": 1, "reports": reports})
@@ -329,9 +310,12 @@ def build_parser() -> _Parser:
     solve.add_argument("--d", type=int, help="degree for pure-power (t**d - S)")
     solve.add_argument("--S", help="right-hand side for pure-power, as re,im")
     solve.add_argument(
-        "--epsilon", type=float, default=1e-8, help="root tolerance (default 1e-8)"
+        "--epsilon",
+        type=float,
+        default=_SOLVE_CONFIG.threshold_r,
+        help="root tolerance (default 1e-8)",
     )
-    solve.add_argument("--max-iters", type=int, default=100)
+    solve.add_argument("--max-iters", type=int, default=_SOLVE_CONFIG.max_iters)
     solve.set_defaults(func=cmd_solve)
 
     frac = sub.add_parser("fractal", help="render an escape-time picture")
@@ -375,10 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NoConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (NoConvergenceError, ArithmeticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,20 +8,19 @@ PPM with a dark-purple-to-yellow ramp for converged cells -- darker is
 faster -- and light blue for cells that never made it; an optional plain PGM
 of raw iteration counts supports diffing.
 
-Rendering is data-parallel over row bands.  Every cell is computed by the
-same elementwise kernel, so output is identical for any worker count.
+Rendering is one vectorized pass of the elementwise kernel over the whole
+grid, so every cell is computed the same way wherever it lies.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .newton import DEFAULT_CONFIG, NewtonConfig, sector_seed
+from .newton import DEFAULT_CONFIG, NewtonConfig, sector_seed, select_seed
 
 _TWO_PI = 2.0 * math.pi
 
@@ -201,18 +200,6 @@ def sector_duration(
     return convergence_duration(d, complex(rotated_frame(d, S, k)), 1 + 0j, config)
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        n = workers
-    else:
-        raw = os.environ.get("POLYBRANCH_THREADS", "")
-        try:
-            n = int(raw) if raw else 1
-        except ValueError:
-            n = 1
-    return max(1, n)
-
-
 def render(
     d: int,
     seed: complex = 1 + 0j,
@@ -226,9 +213,8 @@ def render(
 
     ``sector=k`` renders in the canonical rotated frame (rotation applied to
     every cell before iterating, seed 1 doing the work), which reproduces the
-    sector-k seed's picture exactly up to the grid rotation.  ``workers``
-    defaults to the POLYBRANCH_THREADS environment variable (else 1); the
-    worker count partitions rows only and never changes a single cell.
+    sector-k seed's picture exactly up to the grid rotation.  ``workers`` is
+    accepted for compatibility and ignored: the grid is one kernel call.
     """
     cfg = config or DEFAULT_CONFIG
     width, height = resolution
@@ -249,24 +235,7 @@ def render(
         seed_used = complex(seed)
         seed_work = seed_used
 
-    n_workers = _worker_count(workers)
-    iterations = np.empty((height, width), dtype=np.int32)
-    converged = np.empty((height, width), dtype=bool)
-
-    bands = np.array_split(np.arange(height), min(n_workers, height))
-
-    def run_band(rows: np.ndarray) -> None:
-        if rows.size == 0:
-            return
-        its, conv = escape_times(d, S_work[rows, :], seed_work, cfg)
-        iterations[rows, :] = its
-        converged[rows, :] = conv
-
-    if n_workers == 1 or len(bands) == 1:
-        run_band(np.arange(height))
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run_band, bands))
+    iterations, converged = escape_times(d, S_work, seed_work, cfg)
 
     return FractalGrid(
         d=d,
@@ -298,8 +267,8 @@ def write_image(grid: FractalGrid, path: str | os.PathLike) -> None:
 def write_pgm(grid: FractalGrid, path: str | os.PathLike) -> None:
     """Write a plain PGM (P2) of raw iteration counts, maxval = max_iters."""
     lines = [f"P2\n{grid.width} {grid.height}\n{max(grid.max_iters, 1)}"]
-    for row in grid.iterations:
-        lines.append(" ".join(str(int(v)) for v in row))
+    for row in grid.iterations.tolist():
+        lines.append(" ".join(map(str, row)))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -327,7 +296,13 @@ def sector_statistics(
         mask &= mod <= max_modulus
     theta = np.angle(S)
     theta = np.where(theta == math.pi, -math.pi, theta)
-    sectors = np.floor((theta + math.pi / d) / (_TWO_PI / d)).astype(np.int64) % d
+    position = (theta + math.pi / d) / (_TWO_PI / d)
+    sectors = np.floor(position).astype(np.int64) % d
+    # The floor can round a cell lying on a boundary ray into the wrong
+    # sector; such cells take the sector the seed chain gives them.
+    on_edge = mask & (np.abs(position - np.rint(position)) < 1e-9)
+    for r, c in zip(*np.nonzero(on_edge)):
+        sectors[r, c] = select_seed(d, complex(S[r, c]))[1]
     out: list[dict] = []
     for k in range(d):
         sel = mask & (sectors == k)

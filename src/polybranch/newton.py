@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .tracing import BranchTrace, record_decision
 
 _EPS = sys.float_info.epsilon
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -147,14 +146,6 @@ def in_sector(d: int, S: complex, k: int) -> bool:
     phi = _normalized_phase(w)
     edge = math.pi / d
     return -edge <= phi < edge
-
-
-def sector_index(d: int, S: complex) -> int:
-    """Index of the sector containing S, via the same chain select_seed walks."""
-    for k in range(d - 1):
-        if in_sector(d, S, k):
-            return k
-    return d - 1
 
 
 def select_seed(

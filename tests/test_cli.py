@@ -3,8 +3,10 @@
 Every test drives the entry point of the package the tests import,
 ``python -m polybranch``, through a subprocess so the argument parsing, JSON
 serialization, exit codes, and file outputs are exercised exactly the way a
-shell user sees them.  The console-script test alone needs the package
-installed, and is skipped where the ``polybranch`` script is not on PATH.
+shell user sees them.  The library ``solve`` is checked against the output
+of the command it sits behind.  The console-script test alone needs the
+package installed, and is skipped where the ``polybranch`` script is not on
+PATH.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from pathlib import Path
 import pytest
 
 import polybranch
+from polybranch import MonicPolynomial
+from polybranch.cli import solve
 
 # The directory that holds the imported package.  Children get it as an
 # absolute PYTHONPATH entry, so they import the same code whatever their cwd.
@@ -154,6 +158,56 @@ def test_usage_errors_exit_one():
     assert run_cli("frobnicate").returncode == 1
     assert run_cli("solve", "--coeffs", "abc").returncode == 1
     assert run_cli("solve").returncode == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--pure-power", "--d", "3", "--S=1e-310"),
+        ("--pure-power", "--d", "5", "--S=5e-324"),
+        ("--coeffs=1,1,1e120",),
+    ],
+)
+def test_arithmetic_overflow_is_a_clean_error(args):
+    proc = run_cli("solve", *args)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, poly, method",
+    [
+        (
+            ("--coeffs=-24,50,-35,10",),
+            MonicPolynomial((-24, 50, -35, 10)),
+            "closed-form",
+        ),
+        (
+            ("--pure-power", "--d", "16", "--S=1,2"),
+            MonicPolynomial((-complex(1, 2),) + (0j,) * 15),
+            "pure-power",
+        ),
+        (
+            ("--method", "power-iteration", "--coeffs=-6,11,-6"),
+            MonicPolynomial((-6, 11, -6)),
+            "power-iteration",
+        ),
+    ],
+)
+def test_library_solve_matches_the_command(args, poly, method):
+    proc = run_cli("solve", *args)
+    assert proc.returncode == 0
+    assert solve(poly, method).to_json(indent=2) + "\n" == proc.stdout
+
+
+def test_double_root_warns_once():
+    # t^2 + 2t + 1 = (t + 1)^2
+    report = solve(MonicPolynomial((1, 2)))
+    assert sum("coincide" in w for w in report.warnings) == 1
+    proc = run_cli("solve", "--coeffs=1,2")
+    assert proc.returncode == 2
+    assert sum("coincide" in w for w in json.loads(proc.stdout)["warnings"]) == 1
 
 
 def test_fractal_writes_ppm_and_sector_stats(tmp_path):

@@ -18,6 +18,7 @@ from polybranch import (
     sector_duration,
     sector_seed,
     sector_statistics,
+    select_seed,
     write_image,
     write_pgm,
 )
@@ -331,6 +332,20 @@ def test_annulus_bounds_filter_cells() -> None:
     inside = (np.abs(centers) >= lo) & (np.abs(centers) <= hi)
     stats = sector_statistics(grid, lo, hi)
     assert sum(s["cells"] for s in stats) == int(inside.sum())
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_boundary_ray_cells_land_where_the_seed_chain_puts_them(d) -> None:
+    # An odd grid puts cells exactly on the negative real axis (d = 3) or
+    # the negative imaginary axis (d = 6), where a plain floor of the angle
+    # picks the neighbouring sector.
+    grid = render(d, resolution=(127, 129))
+    centers = grid.cell_centers()
+    counted = centers[np.abs(centers) >= 0.1]
+    want = [0] * d
+    for S in counted:
+        want[select_seed(d, complex(S))[1]] += 1
+    assert [s["cells"] for s in sector_statistics(grid)] == want
 
 
 def test_statistics_validation() -> None:

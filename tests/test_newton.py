@@ -13,7 +13,6 @@ from polybranch import (
     NewtonConfig,
     NoConvergenceError,
     newton_root,
-    sector_index,
     sector_seed,
     select_seed,
     solve_pure_power,
@@ -173,7 +172,7 @@ def test_sectors_partition_the_punctured_plane() -> None:
             continue
         memberships = [in_sector(d, S, k) for k in range(d)]
         assert sum(memberships) == 1
-        assert memberships.index(True) == sector_index(d, S)
+        assert memberships.index(True) == select_seed(d, S)[1]
 
 
 def test_sector_boundaries_are_half_open() -> None:
@@ -184,8 +183,8 @@ def test_sector_boundaries_are_half_open() -> None:
         lower_edge = cmath.exp(-1j * math.pi / d)  # arg = -pi/d
         assert in_sector(d, lower_edge, 0)
     # the fold at arg = pi: a negative real input for even and odd degree
-    assert sector_index(2, -4) == 1
-    assert sector_index(3, -1) in (1, 2)
+    assert select_seed(2, -4)[1] == 1
+    assert select_seed(3, -1)[1] in (1, 2)
     with pytest.raises(ValueError):
         in_sector(2, 0, 0)
 
