@@ -26,11 +26,9 @@ from .closedform import (
 )
 from .fractal import (
     FractalGrid,
-    convergence_duration,
     escape_times,
     render,
     rotated_frame,
-    sector_duration,
     sector_statistics,
     write_image,
     write_pgm,
@@ -74,55 +72,3 @@ from .tracing import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BranchTrace",
-    "CompanionMatrix",
-    "ComplexityReport",
-    "CupLengthCertificate",
-    "FractalGrid",
-    "GeneratorPair",
-    "MonicPolynomial",
-    "NewtonConfig",
-    "NewtonOutcome",
-    "NoConvergenceError",
-    "PowerIterResult",
-    "QuarticResolvent",
-    "RootReport",
-    "RootTuple",
-    "ZeroEigenvalueError",
-    "companion",
-    "convergence_duration",
-    "default_coefficient_bound",
-    "deflate",
-    "detect_equal_magnitude",
-    "distinct_decision_labels",
-    "escape_times",
-    "evaluate",
-    "has_repeated_roots",
-    "in_coefficient_box",
-    "make_report",
-    "max_cup_length",
-    "newton_root",
-    "pairs_within_weight",
-    "power_iterate",
-    "quartic_resolvent",
-    "record_decision",
-    "render",
-    "roots_to_poly",
-    "rotated_frame",
-    "sector_duration",
-    "sector_seed",
-    "sector_statistics",
-    "select_seed",
-    "smale_bound",
-    "solve_by_power_iteration",
-    "solve_cubic",
-    "solve_pure_power",
-    "solve_quadratic",
-    "solve_quartic",
-    "verify_lemma_claim",
-    "worst_case_branches",
-    "write_image",
-    "write_pgm",
-]

@@ -26,7 +26,7 @@ from pathlib import Path
 from .closedform import solve_cubic, solve_quadratic, solve_quartic
 from .complexity import max_cup_length
 from .fractal import render, sector_statistics, write_image, write_pgm
-from .newton import NewtonConfig, NoConvergenceError, solve_pure_power
+from .newton import DEFAULT_CONFIG, NewtonConfig, NoConvergenceError, solve_pure_power
 from .poly import MonicPolynomial, has_repeated_roots
 from .powiter import solve_by_power_iteration
 from .report import RootReport
@@ -198,8 +198,8 @@ def cmd_fractal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _random_disk(rng: random.Random, radius: float = _DISK_RADIUS) -> complex:
-    r = radius * math.sqrt(rng.random())
+def _random_disk(rng: random.Random) -> complex:
+    r = _DISK_RADIUS * math.sqrt(rng.random())
     theta = 2.0 * math.pi * rng.random()
     return complex(r * math.cos(theta), r * math.sin(theta))
 
@@ -328,9 +328,12 @@ def build_parser() -> _Parser:
     )
     frac.add_argument("--resolution", default="512x512", help="WxH cells")
     frac.add_argument(
-        "--threshold", type=float, default=0.1, help="convergence radius"
+        "--threshold",
+        type=float,
+        default=DEFAULT_CONFIG.threshold_r,
+        help="convergence radius",
     )
-    frac.add_argument("--max-iters", type=int, default=100)
+    frac.add_argument("--max-iters", type=int, default=DEFAULT_CONFIG.max_iters)
     frac.set_defaults(func=cmd_fractal)
 
     bound = sub.add_parser("bound", help="branch-count bounds per degree")
@@ -344,8 +347,8 @@ def build_parser() -> _Parser:
         action="store_true",
         help="emit bare machine-readable complexity reports",
     )
-    bound.add_argument("--epsilon", type=float, default=1e-8)
-    bound.add_argument("--max-iters", type=int, default=100)
+    bound.add_argument("--epsilon", type=float, default=_SOLVE_CONFIG.threshold_r)
+    bound.add_argument("--max-iters", type=int, default=_SOLVE_CONFIG.max_iters)
     bound.set_defaults(func=cmd_bound)
 
     verify = sub.add_parser("verify", help="run the acceptance suite")

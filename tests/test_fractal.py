@@ -12,10 +12,8 @@ import pytest
 from polybranch import (
     FractalGrid,
     NewtonConfig,
-    convergence_duration,
     escape_times,
     render,
-    sector_duration,
     sector_seed,
     sector_statistics,
     select_seed,
@@ -54,6 +52,12 @@ def scalar_duration(d: int, S: complex, seed: complex, config: NewtonConfig) -> 
         if near(x) < config.threshold_r:
             return n, True
     return config.max_iters, False
+
+
+def duration(d: int, S: complex, seed: complex) -> tuple[int, bool]:
+    """Escape time of a single right-hand side, through the grid kernel."""
+    its, conv = escape_times(d, np.array([S], dtype=np.complex128), seed)
+    return int(its[0]), bool(conv[0])
 
 
 def synthetic_grid(
@@ -96,17 +100,21 @@ def test_negative_real_axis_fails_from_seed_one() -> None:
 
 
 def test_vectorized_kernel_matches_scalar_reference() -> None:
-    rng = random.Random(31)
-    for d in (2, 3, 5):
-        cells = np.array([
-            complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(120)
-        ]).reshape(8, 15)
-        iters, conv = escape_times(d, cells, 1 + 0j)
-        for r in range(8):
-            for c in range(15):
-                n, ok = scalar_duration(d, cells[r, c], 1 + 0j, DEFAULTS)
-                assert conv[r, c] == ok
-                assert iters[r, c] == n
+    # The default budget, a budget of one step, and a wide threshold that
+    # lets many cells converge at the seed check (step 0) or the last step.
+    configs = (DEFAULTS, NewtonConfig(max_iters=1), NewtonConfig(threshold_r=0.3, max_iters=2))
+    for cfg in configs:
+        rng = random.Random(31)
+        for d in (2, 3, 5):
+            cells = np.array([
+                complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(120)
+            ]).reshape(8, 15)
+            iters, conv = escape_times(d, cells, 1 + 0j, cfg)
+            for r in range(8):
+                for c in range(15):
+                    n, ok = scalar_duration(d, cells[r, c], 1 + 0j, cfg)
+                    assert conv[r, c] == ok
+                    assert iters[r, c] == n
 
 
 def test_duration_of_a_single_cell_matches_the_grid_kernel() -> None:
@@ -114,7 +122,7 @@ def test_duration_of_a_single_cell_matches_the_grid_kernel() -> None:
     for _ in range(60):
         d = rng.randint(2, 5)
         S = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        n, ok = convergence_duration(d, S, 1 + 0j)
+        n, ok = duration(d, S, 1 + 0j)
         ref_n, ref_ok = scalar_duration(d, S, 1 + 0j, DEFAULTS)
         assert (n, ok) == (ref_n, ref_ok)
 
@@ -138,9 +146,11 @@ def test_sector_duration_equals_the_rotated_frame_exactly() -> None:
         S = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if S == 0:
             continue
-        direct = sector_duration(d, S, k)
-        frame = convergence_duration(d, rotated_frame(d, S, k), 1 + 0j)
-        assert direct == frame
+        window = (S.real - 0.5, S.real + 0.5, S.imag - 0.5, S.imag + 0.5)
+        direct = render(d, resolution=(1, 1), window=window, sector=k)
+        iters, conv = escape_times(d, rotated_frame(d, direct.cell_centers(), k), 1 + 0j)
+        assert np.array_equal(direct.iterations, iters)
+        assert np.array_equal(direct.converged, conv)
 
 
 def test_floating_seed_rotation_stays_within_one_iteration() -> None:
@@ -151,8 +161,8 @@ def test_floating_seed_rotation_stays_within_one_iteration() -> None:
         S = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if abs(S) < 0.05:
             continue
-        analytic = sector_duration(d, S, k)
-        floating = convergence_duration(d, S, sector_seed(d, k))
+        analytic = duration(d, rotated_frame(d, S, k), 1 + 0j)
+        floating = duration(d, S, sector_seed(d, k))
         assert analytic[1] == floating[1]
         if analytic[1]:
             assert abs(analytic[0] - floating[0]) <= 1

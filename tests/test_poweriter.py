@@ -145,6 +145,22 @@ def test_rate_estimate_absent_for_very_fast_convergence() -> None:
     assert res.rate_estimate is None
 
 
+def test_iteration_cap_edges() -> None:
+    F = companion(MonicPolynomial((2, -3)))  # t^2 - 3t + 2
+    none = power_iterate(F, max_iters=0)  # no step: the start vector e_2
+    assert none.iterations == 0
+    assert not none.converged
+    assert np.array_equal(none.eigenvector, np.array([0, 1], dtype=complex))
+    assert none.residual_history == ()
+    one = power_iterate(F, max_iters=1)  # one step: F e_2 = (-2, 3), normalized
+    assert one.iterations == 1
+    assert not one.converged
+    assert np.allclose(one.eigenvector, np.array([-2, 3]) / math.sqrt(13), rtol=0, atol=1e-15)
+    # |F e_2 / |F e_2| - e_2| = sqrt(2 - 6/sqrt(13))
+    assert len(one.residual_history) == 1
+    assert abs(one.residual_history[0] - math.sqrt(2 - 6 / math.sqrt(13))) < 1e-15
+
+
 def test_zero_start_vector_annihilation_is_signalled() -> None:
     with pytest.raises(ZeroEigenvalueError):
         power_iterate(companion(MonicPolynomial((0, 0))))  # t^2 annihilates e_2
