@@ -27,7 +27,7 @@ from .closedform import solve_cubic, solve_quadratic, solve_quartic
 from .complexity import max_cup_length
 from .fractal import render, sector_statistics, write_image, write_pgm
 from .newton import DEFAULT_CONFIG, NewtonConfig, NoConvergenceError, solve_pure_power
-from .poly import MonicPolynomial, has_repeated_roots
+from .poly import REPEATED_ROOT_TOL, MonicPolynomial, has_repeated_roots
 from .powiter import solve_by_power_iteration
 from .report import RootReport
 from .tracing import BranchTrace, make_report, worst_case_branches
@@ -37,7 +37,7 @@ CLOSED_FORM_DEGREES = tuple(CLOSED_FORM)
 
 _SOLVE_CONFIG = NewtonConfig(threshold_r=1e-8, max_iters=100)
 _COINCIDENT_ROOTS = (
-    "roots coincide within 1e-09; the input sits outside the"
+    f"roots coincide within {REPEATED_ROOT_TOL}; the input sits outside the"
     " guaranteed distinct-root domain"
 )
 
@@ -112,8 +112,9 @@ def solve(
 
     ``method`` is "closed-form" (degrees 2-4), "pure-power" (t**d - S, every
     coefficient above a0 zero) or "power-iteration"; ``config`` defaults to
-    the command's own defaults.  Roots that coincide within 1e-9 add a
-    warning, since the input then sits outside the distinct-root domain.
+    the command's own defaults.  Roots that coincide within
+    ``REPEATED_ROOT_TOL`` add a warning, since the input then sits outside
+    the distinct-root domain.
     """
     config = config or _SOLVE_CONFIG
     if method == "power-iteration":
@@ -145,7 +146,7 @@ def solve(
             method=method,
             per_root_iterations=(trace.computation_count,) * len(roots),
         )
-    if has_repeated_roots(report.roots, tol=1e-9):
+    if has_repeated_roots(report.roots):
         report = replace(report, warnings=report.warnings + (_COINCIDENT_ROOTS,))
     return report
 
@@ -166,7 +167,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         raise ValueError(f"--coeffs is required for {method}")
     report = solve(poly, method, config)
-    print(report.to_json(indent=2))
+    print(report.to_json())
     return 2 if report.warnings else 0
 
 
@@ -211,7 +212,8 @@ def _measure_branches(
 
     Degrees 2-4 exercise the closed-form solvers on coefficients drawn
     uniformly from the disk |a| <= 10; other degrees exercise the pure-power
-    solver on right-hand sides from the same disk.  Failed runs still
+    solver on right-hand sides from the same disk.  Failed runs, whether
+    Newton did not converge or a radicand left the double range, still
     contribute the branches they spent before stopping.
     """
     solver = CLOSED_FORM.get(d)
@@ -227,7 +229,7 @@ def _measure_branches(
                 while S == 0:
                     S = _random_disk(rng)
                 solve_pure_power(d, S, config, trace)
-        except NoConvergenceError:
+        except (NoConvergenceError, ArithmeticError):
             pass
         traces.append(trace)
     suite = "pure-power" if solver is None else "closed-form"

@@ -73,22 +73,35 @@ def pairs_within_weight(max_weight: int) -> int:
 
 @dataclass(frozen=True)
 class CupLengthCertificate:
-    """A weight-feasible family of distinct generator pairs for degree d."""
+    """A weight-feasible family of distinct generator pairs for degree d.
+
+    Only ``d`` and ``pairs`` are stored; the weight budget log2(d), the
+    family's total weight and cardinality, and the Smale bound of d are read
+    off them.
+    """
 
     d: int
-    budget: float
     pairs: tuple[GeneratorPair, ...]
-    total_weight: int
-    cardinality: int
-    smale_bound: float
 
     def __post_init__(self) -> None:
         if len(set(self.pairs)) != len(self.pairs):
             raise ValueError("pairs must be pairwise distinct")
-        if sum(p.weight for p in self.pairs) != self.total_weight:
-            raise ValueError("total_weight inconsistent with pairs")
-        if len(self.pairs) != self.cardinality:
-            raise ValueError("cardinality inconsistent with pairs")
+
+    @property
+    def budget(self) -> float:
+        return math.log2(self.d)
+
+    @property
+    def total_weight(self) -> int:
+        return sum(p.weight for p in self.pairs)
+
+    @property
+    def cardinality(self) -> int:
+        return len(self.pairs)
+
+    @property
+    def smale_bound(self) -> float:
+        return smale_bound(self.d)
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,14 +143,7 @@ def max_cup_length(d: int) -> CupLengthCertificate:
             chosen.append(GeneratorPair(m, w - m))
             total += w
         w += 1
-    return CupLengthCertificate(
-        d=d,
-        budget=math.log2(d),
-        pairs=tuple(chosen),
-        total_weight=total,
-        cardinality=len(chosen),
-        smale_bound=smale_bound(d),
-    )
+    return CupLengthCertificate(d=d, pairs=tuple(chosen))
 
 
 def verify_lemma_claim(d: int) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .newton import DEFAULT_CONFIG, NewtonConfig, sector_seed, select_seed
+from .newton import DEFAULT_CONFIG, DIVERGENCE_BAILOUT, NewtonConfig, sector_seed, select_seed
 
 _TWO_PI = 2.0 * math.pi
 
@@ -55,21 +55,28 @@ class FractalGrid:
     """Escape-time data for one rendered window.
 
     ``iterations`` and ``converged`` are (height, width) arrays with row 0 at
-    the top of the window (largest imaginary part).  Non-converged cells hold
-    the iteration cap.  ``sector`` records the canonical-frame index when the
-    render was driven by a sector rather than a literal seed.
+    the top of the window (largest imaginary part); ``width`` and ``height``
+    are read off their shape.  Non-converged cells hold the iteration cap.
+    ``sector`` records the canonical-frame index when the render was driven
+    by a sector rather than a literal seed.
     """
 
     d: int
     seed: complex
     window: Window
-    width: int
-    height: int
     threshold_r: float
     max_iters: int
     iterations: np.ndarray
     converged: np.ndarray
     sector: int | None = None
+
+    @property
+    def width(self) -> int:
+        return self.iterations.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.iterations.shape[0]
 
     def cell_centers(self) -> np.ndarray:
         return _cell_centers(self.window, self.width, self.height)
@@ -133,7 +140,7 @@ def escape_times(
                 xp = x ** (d - 1)
                 x = x - (xp * x - S_live) / (d * xp)
             bad = ~np.isfinite(x.real) | ~np.isfinite(x.imag)
-            big = np.abs(x) > cfg.divergence_bailout
+            big = np.abs(x) > DIVERGENCE_BAILOUT
             dead = bad | big  # critical point hit or divergence: stays at the cap
         with np.errstate(invalid="ignore"):
             near = near_root_dist(x, root_mod, theta) < cfg.threshold_r
@@ -202,8 +209,6 @@ def render(
         d=d,
         seed=seed_used,
         window=window,
-        width=width,
-        height=height,
         threshold_r=cfg.threshold_r,
         max_iters=cfg.max_iters,
         iterations=iterations,

@@ -22,23 +22,26 @@ from dataclasses import dataclass, replace
 from .tracing import BranchTrace, record_decision
 
 _EPS = sys.float_info.epsilon
+# An iterate beyond this modulus has diverged; every Newton routine stops it.
+DIVERGENCE_BAILOUT = 1e8
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Stopping parameters shared by every Newton-driven routine."""
+    """Stopping parameters shared by every Newton-driven routine.
+
+    ``threshold_r`` is the convergence radius and ``max_iters`` the step cap;
+    the divergence bound is the module constant ``DIVERGENCE_BAILOUT``.
+    """
 
     threshold_r: float = 0.1
     max_iters: int = 100
-    divergence_bailout: float = 1e8
 
     def __post_init__(self) -> None:
         if not (self.threshold_r > 0):
             raise ValueError("threshold_r must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (self.divergence_bailout > 1):
-            raise ValueError("divergence_bailout must exceed 1")
 
 
 DEFAULT_CONFIG = NewtonConfig()
@@ -46,10 +49,15 @@ DEFAULT_CONFIG = NewtonConfig()
 
 @dataclass(frozen=True)
 class NewtonOutcome:
-    converged: bool
+    """Where a Newton run stopped; ``reason`` names why it failed, if it did."""
+
     value: complex
     iterations: int
     reason: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.reason is None
 
 
 class NoConvergenceError(RuntimeError):
@@ -94,20 +102,20 @@ def newton_root(
     tol = residual_tolerance(d, abs(S), cfg.threshold_r)
     xp = x ** (d - 1)
     if abs(xp * x - S) < tol:
-        return NewtonOutcome(True, x, 0)
+        return NewtonOutcome(x, 0)
     for n in range(1, cfg.max_iters + 1):
         x_new = x - (xp * x - S) / (d * xp)
         if trace is not None:
             trace.note_computation()
-        if abs(x_new) > cfg.divergence_bailout:
-            return NewtonOutcome(False, x_new, n, "divergence")
+        if abs(x_new) > DIVERGENCE_BAILOUT:
+            return NewtonOutcome(x_new, n, "divergence")
         xp_new = x_new ** (d - 1)
         if abs(x_new - x) < cfg.threshold_r and abs(xp_new * x_new - S) < tol:
-            return NewtonOutcome(True, x_new, n)
+            return NewtonOutcome(x_new, n)
         if x_new == 0:
-            return NewtonOutcome(False, x_new, n, "critical point")
+            return NewtonOutcome(x_new, n, "critical point")
         x, xp = x_new, xp_new
-    return NewtonOutcome(False, x, cfg.max_iters, "max iterations")
+    return NewtonOutcome(x, cfg.max_iters, "max iterations")
 
 
 def sector_seed(d: int, k: int) -> complex:
@@ -206,7 +214,10 @@ def scaled_root(
     floor_iters = 4 * d + 50
     if cfg.max_iters < floor_iters:
         cfg = replace(cfg, max_iters=floor_iters)
-    exponent = math.frexp(abs(S))[1]  # |S| in [2**(e-1), 2**e)
+    try:
+        exponent = math.frexp(abs(S))[1]  # |S| in [2**(e-1), 2**e)
+    except OverflowError:  # |S| beyond the double maximum: measure S/2, exactly
+        exponent = math.frexp(abs(complex(S.real / 2, S.imag / 2)))[1] + 1
     m = -((-exponent) // d)  # ceil(e / d)
     shift = -d * m
     if exponent + shift <= -1022:

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 RootTuple = tuple[complex, ...]
 
+# Roots closer than this (absolute distance) count as one repeated root.
+REPEATED_ROOT_TOL = 1e-9
+
 
 def _require_finite(z: complex, what: str) -> complex:
     z = complex(z)
@@ -98,12 +101,12 @@ def deflate(p: MonicPolynomial, root: complex) -> tuple[MonicPolynomial, complex
     return MonicPolynomial(tuple(out)), remainder
 
 
-def has_repeated_roots(roots: RootTuple, tol: float = 1e-9) -> bool:
-    """True when some pair of roots lies within ``tol`` (absolute distance)."""
+def has_repeated_roots(roots: RootTuple) -> bool:
+    """True when some pair of roots lies within ``REPEATED_ROOT_TOL``."""
     n = len(roots)
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= tol:
+            if abs(roots[i] - roots[j]) <= REPEATED_ROOT_TOL:
                 return True
     return False
 

@@ -19,8 +19,9 @@ from .poly import MonicPolynomial, deflate, evaluate
 from .report import RootReport
 
 _POLISH_STEPS = 3
-# An equal-magnitude tie: trailing residuals above this floor whose fitted
-# decay ratio is within this tolerance of 1.
+# An equal-magnitude tie: the last _WINDOW residuals all above this floor,
+# their fitted decay ratio within this tolerance of 1.
+_WINDOW = 8
 _OSCILLATION_FLOOR = 1e-8
 _RATIO_TOL = 0.05
 
@@ -72,12 +73,22 @@ class ZeroEigenvalueError(RuntimeError):
 
 @dataclass(frozen=True)
 class PowerIterResult:
+    """One power-iteration run: the last estimate and its per-step residuals."""
+
     eigenvalue: complex
     eigenvector: np.ndarray
-    iterations: int
     converged: bool
-    rate_estimate: float | None
     residual_history: tuple[float, ...]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
+
+    @property
+    def rate_estimate(self) -> float | None:
+        """Decay ratio fitted past the first two steps; None below 10 steps."""
+        history = self.residual_history
+        return _fit_ratio(history[2:]) if len(history) >= 10 else None
 
 
 def _fit_ratio(history: tuple[float, ...] | list[float]) -> float | None:
@@ -102,59 +113,59 @@ def power_iterate(
     ||b_n - exp(i phi) b_{n-1}|| (phi chosen to cancel the rotating phase of a
     complex dominant eigenvalue).  Converged requires both that displacement
     and the eigen-residual ||F v - lambda v|| (relative to ||F||) under tol.
+    An iterate whose norm leaves the double range ends the run early and
+    unconverged, so such a run reports fewer than ``max_iters`` iterations.
     """
     d = F.dimension
     if d < 1:
         raise ValueError("empty matrix")
-    fro = math.sqrt(float(np.sum(np.abs(F.to_array()) ** 2)))
+    # ||F||_F over the d - 1 subdiagonal ones and the coefficient column.
+    parts = [x for c in F.coeffs for x in (c.real, c.imag)]
+    fro = math.hypot(*parts, *[1.0] * (d - 1))
     b = np.zeros(d, dtype=np.complex128)
     b[-1] = 1.0
     w = F.apply(b)
     history: list[float] = []
     lam = 0j
     converged = False
-    n = 0
-    for n in range(1, max_iters + 1):
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            raise ZeroEigenvalueError()
-        b_new = w / norm_w
-        inner = complex(np.vdot(b, b_new))
-        phase = inner / abs(inner) if abs(inner) > 0 else 1.0 + 0j
-        step = float(np.linalg.norm(b_new - phase * b))
-        w = F.apply(b_new)
-        lam = complex(np.vdot(b_new, w))  # b_new is unit
-        eig_res = float(np.linalg.norm(w - lam * b_new))
-        history.append(step)
-        b = b_new
-        converged = step < tol and eig_res <= tol * max(fro, 1.0)
-        if converged:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iters):
+            norm_w = float(np.linalg.norm(w))
+            if not math.isfinite(norm_w):
+                break
+            if norm_w == 0.0:
+                raise ZeroEigenvalueError()
+            b_new = w / norm_w
+            inner = complex(np.vdot(b, b_new))
+            phase = inner / abs(inner) if abs(inner) > 0 else 1.0 + 0j
+            step = float(np.linalg.norm(b_new - phase * b))
+            w = F.apply(b_new)
+            lam = complex(np.vdot(b_new, w))  # b_new is unit
+            eig_res = float(np.linalg.norm(w - lam * b_new))
+            history.append(step)
+            b = b_new
+            converged = step < tol and eig_res <= tol * max(fro, 1.0)
+            if converged:
+                break
     return PowerIterResult(
         eigenvalue=lam,
         eigenvector=b,
-        iterations=n,
         converged=converged,
-        rate_estimate=_fit_ratio(history[2:]) if len(history) >= 10 else None,
         residual_history=tuple(history),
     )
 
 
-def detect_equal_magnitude(
-    residual_history: tuple[float, ...] | list[float],
-    window: int = 8,
-) -> bool:
+def detect_equal_magnitude(residual_history: tuple[float, ...] | list[float]) -> bool:
     """True when the trailing residuals oscillate without geometric decay.
 
-    Looks at the last ``window`` entries: all must sit above 1e-8 and their
-    fitted decay ratio must be at least 0.95.  That is the signature of two
-    dominant eigenvalues of equal magnitude; a strictly dominant eigenvalue
-    leaves a visibly decaying trail instead.
+    Looks at the last 8 entries (``_WINDOW``): all must sit above 1e-8 and
+    their fitted decay ratio must be at least 0.95.  That is the signature of
+    two dominant eigenvalues of equal magnitude; a strictly dominant
+    eigenvalue leaves a visibly decaying trail instead.  A shorter history is
+    never a tie.
     """
-    if window < 4:
-        raise ValueError("window must be at least 4")
-    tail = list(residual_history)[-window:]
-    if len(tail) < window:
+    tail = list(residual_history)[-_WINDOW:]
+    if len(tail) < _WINDOW:
         return False
     if min(tail) <= _OSCILLATION_FLOOR:
         return False
@@ -206,7 +217,9 @@ def solve_by_power_iteration(
             current = deflate(current, 0j)[0]
             continue
         if not res.converged:
-            if detect_equal_magnitude(res.residual_history):
+            if res.iterations < max_iters:
+                cause = "iterate norm overflowed"
+            elif detect_equal_magnitude(res.residual_history):
                 cause = "equal-magnitude dominant eigenvalues"
             else:
                 cause = "iteration cap reached"

@@ -47,5 +47,5 @@ class RootReport:
             "warnings": list(self.warnings),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)

@@ -155,6 +155,17 @@ def test_equal_magnitude_eigenvalues_exit_with_warning_status():
     assert any("equal-magnitude" in w for w in payload["warnings"])
 
 
+def test_power_iteration_flags_an_overflowing_iterate():
+    # t^2 + 1e200: the iterate's norm overflows on the first step.  That is
+    # an unconverged stage with its own cause, not a zero eigenvalue.
+    proc = run_cli("solve", "--method", "power-iteration", "--coeffs=1e200,0")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "overflow encountered in square" not in proc.stderr
+    warnings = json.loads(proc.stdout)["warnings"]
+    assert any("overflow" in w and "degree-2 stage" in w for w in warnings)
+
+
 def test_usage_errors_exit_one():
     assert run_cli().returncode == 1
     assert run_cli("frobnicate").returncode == 1
@@ -182,14 +193,15 @@ def test_arithmetic_overflow_is_a_clean_error(args):
 
 @pytest.mark.parametrize(
     "d, S",
-    [(3, "1e-310"), (5, "5e-324"), (600, "1e300")],
+    [(3, "1e-310"), (5, "5e-324"), (600, "1e300"), (2, "1.7e308,1.7e308")],
 )
 def test_pure_power_solves_across_the_double_range(d, S):
     proc = run_cli("solve", "--pure-power", "--d", str(d), f"--S={S}")
     assert proc.returncode in (0, 2)
     assert "Traceback" not in proc.stderr
     got = np.array(roots_as_complex(json.loads(proc.stdout)))
-    radicand = mpmath.mpf(float(S))  # the double the command parsed, not the decimal
+    # the doubles the command parsed, not the decimals
+    radicand = mpmath.mpc(*(float(part) for part in S.split(",")))
     with mpmath.workdps(50):
         want = np.array([complex(mpmath.root(radicand, d, k)) for k in range(d)])
     nearest = np.abs(got[:, None] - want[None, :]).argmin(axis=1)
@@ -220,7 +232,7 @@ def test_pure_power_solves_across_the_double_range(d, S):
 def test_library_solve_matches_the_command(args, poly, method):
     proc = run_cli("solve", *args)
     assert proc.returncode == 0
-    assert solve(poly, method).to_json(indent=2) + "\n" == proc.stdout
+    assert solve(poly, method).to_json() + "\n" == proc.stdout
 
 
 def test_double_root_warns_once():
@@ -332,6 +344,17 @@ def test_bound_table_covers_requested_degrees():
     assert rows[0]["measured_branches"] == 1
     assert 1 <= rows[1]["measured_branches"] <= 5
     assert 1 <= rows[2]["measured_branches"] <= 7
+
+
+def test_bound_keeps_its_table_when_a_sample_leaves_the_double_range():
+    # One d = 1023 radicand of this suite would be subnormal after range
+    # reduction; that sample counts the branches it spent, like a run that
+    # did not converge, instead of discarding the table.
+    proc = run_cli("bound", "--degrees", "2,1023", "--samples", "10", "--rng-seed", "3")
+    assert proc.returncode == 0
+    rows = json.loads(proc.stdout)["rows"]
+    assert [row["d"] for row in rows] == [2, 1023]
+    assert rows[1]["measured_branches"] <= 1023
 
 
 def test_bound_large_degree_uses_pure_power_suite():

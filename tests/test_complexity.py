@@ -112,20 +112,7 @@ def test_greedy_matches_exhaustive_knapsack() -> None:
 def test_certificate_validation_errors() -> None:
     pair = GeneratorPair(1, 0)
     with pytest.raises(ValueError):
-        CupLengthCertificate(
-            d=4, budget=2.0, pairs=(pair, pair), total_weight=2,
-            cardinality=2, smale_bound=smale_bound(4),
-        )
-    with pytest.raises(ValueError):
-        CupLengthCertificate(
-            d=4, budget=2.0, pairs=(pair,), total_weight=5,
-            cardinality=1, smale_bound=smale_bound(4),
-        )
-    with pytest.raises(ValueError):
-        CupLengthCertificate(
-            d=4, budget=2.0, pairs=(pair,), total_weight=1,
-            cardinality=2, smale_bound=smale_bound(4),
-        )
+        CupLengthCertificate(d=4, pairs=(pair, pair))
 
 
 def test_lemma_claim_spot_values() -> None:

@@ -21,6 +21,7 @@ from polybranch import (
     write_pgm,
 )
 from polybranch.fractal import COLORMAP, DIVERGED_COLOR, rotated_frame
+from polybranch.newton import DIVERGENCE_BAILOUT
 
 DEFAULTS = NewtonConfig()
 
@@ -47,7 +48,7 @@ def scalar_duration(d: int, S: complex, seed: complex, config: NewtonConfig) -> 
         x = x - (x ** d - S) / denom
         if not (math.isfinite(x.real) and math.isfinite(x.imag)):
             return config.max_iters, False
-        if abs(x) > config.divergence_bailout:
+        if abs(x) > DIVERGENCE_BAILOUT:
             return config.max_iters, False
         if near(x) < config.threshold_r:
             return n, True
@@ -68,13 +69,10 @@ def synthetic_grid(
     max_iters: int = 100,
     window=(-2.0, 2.0, -2.0, 2.0),
 ) -> FractalGrid:
-    height, width = iterations.shape
     return FractalGrid(
         d=d,
         seed=1 + 0j,
         window=window,
-        width=width,
-        height=height,
         threshold_r=0.1,
         max_iters=max_iters,
         iterations=iterations,

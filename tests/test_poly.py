@@ -132,9 +132,9 @@ def test_deflate_then_multiply_recovers_polynomial() -> None:
 
 
 def test_has_repeated_roots_examples() -> None:
-    assert has_repeated_roots((1, 1, 2), tol=0) is True
-    assert has_repeated_roots((1, 2, 3), tol=0) is False
-    assert has_repeated_roots((0, 1e-9), tol=1e-6) is True
+    assert has_repeated_roots((1, 1, 2)) is True
+    assert has_repeated_roots((1, 2, 3)) is False
+    assert has_repeated_roots((0, 1e-9)) is True  # the tolerance is inclusive
     assert has_repeated_roots((1,)) is False
 
 

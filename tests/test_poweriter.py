@@ -175,8 +175,6 @@ def test_detector_examples() -> None:
     assert detect_equal_magnitude(clean) is False
     assert detect_equal_magnitude(tuple(0.5 ** k for k in range(20))) is False
     assert detect_equal_magnitude((1.0,) * 3) is False  # shorter than the window
-    with pytest.raises(ValueError):
-        detect_equal_magnitude((1.0,) * 8, window=3)
 
 
 # -------------------------------------------------- solve_by_power_iteration
