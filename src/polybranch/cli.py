@@ -1,9 +1,11 @@
 """Command-line surface: solve polynomials, render escape-time pictures,
 tabulate branch-count bounds, and run the acceptance suite.
 
-All reports are UTF-8 JSON on stdout with a "schema": 1 marker and sorted
-keys; images go to --out paths.  Exit codes: 0 full success, 2 partial
-success (the report carries warnings), 1 usage or runtime error.
+All reports are strict UTF-8 JSON on stdout (no NaN or Infinity) with a
+"schema": 1 marker and sorted keys; images go to --out paths.  Exit codes:
+0 full success, 2 partial success (the report carries warnings), 1 usage or
+runtime error.  Non-finite input (nan, inf) is an error: exit 1, before
+any output.
 
 Complex values on the command line are "re,im" pairs ("re" alone is real).
 --coeffs lists coefficients lowest degree first with the leading 1 implied:
@@ -15,7 +17,6 @@ trailing semicolon marks a single complex coefficient).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import subprocess
@@ -29,7 +30,7 @@ from .fractal import render, sector_statistics, write_image, write_pgm
 from .newton import DEFAULT_CONFIG, NewtonConfig, NoConvergenceError, solve_pure_power
 from .poly import REPEATED_ROOT_TOL, MonicPolynomial, has_repeated_roots
 from .powiter import solve_by_power_iteration
-from .report import RootReport
+from .report import RootReport, dumps
 from .tracing import BranchTrace, make_report, worst_case_branches
 
 CLOSED_FORM = {2: solve_quadratic, 3: solve_cubic, 4: solve_quartic}
@@ -52,14 +53,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _parse_floats(text: str) -> list[float]:
+    """Comma-separated finite floats."""
+    values = [float(chunk) for chunk in text.split(",")]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"expected finite numbers, got {text!r}")
+    return values
+
+
 def parse_complex(text: str) -> complex:
-    """Parse "re,im" or bare "re" into a complex number."""
-    parts = text.strip().split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"expected 're' or 're,im', got {text!r}")
+    """Parse "re,im" or bare "re" into a complex number with finite parts."""
+    if text.count(",") > 1:
+        raise ValueError(f"expected 're' or 're,im', got {text!r}")
+    return complex(*_parse_floats(text.strip()))
 
 
 def parse_coeffs(text: str) -> tuple[complex, ...]:
@@ -72,14 +78,14 @@ def parse_coeffs(text: str) -> tuple[complex, ...]:
         items = [chunk for chunk in text.split(";") if chunk.strip()]
         coeffs = tuple(parse_complex(chunk) for chunk in items)
     else:
-        coeffs = tuple(complex(float(chunk), 0.0) for chunk in text.split(","))
+        coeffs = tuple(complex(v) for v in _parse_floats(text))
     if not coeffs:
         raise ValueError("at least one coefficient is required")
     return coeffs
 
 
 def _parse_window(text: str) -> tuple[float, float, float, float]:
-    parts = [float(chunk) for chunk in text.split(",")]
+    parts = _parse_floats(text)
     if len(parts) != 4:
         raise ValueError("window needs four numbers: re_min,re_max,im_min,im_max")
     return parts[0], parts[1], parts[2], parts[3]
@@ -93,14 +99,6 @@ def _parse_resolution(text: str) -> tuple[int, int]:
     if width < 1 or height < 1:
         raise ValueError("resolution must be positive")
     return width, height
-
-
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
 
 
 def solve(
@@ -139,9 +137,9 @@ def solve(
             roots = solver(*reversed(poly.coeffs), config, trace)
         else:
             raise ValueError(f"unknown method {method!r}")
-        report = RootReport(
+        report = RootReport.answering(
+            poly,
             roots=roots,
-            residuals=tuple(abs(poly(z)) for z in roots),
             branch_count=trace.branch_count,
             method=method,
             per_root_iterations=(trace.computation_count,) * len(roots),
@@ -187,7 +185,7 @@ def cmd_fractal(args: argparse.Namespace) -> int:
     payload = {
         "schema": 1,
         "d": args.d,
-        "seed": _complex_pair(seed),
+        "seed": [seed.real, seed.imag],
         "threshold_r": args.threshold,
         "max_iters": args.max_iters,
         "window": list(window),
@@ -195,7 +193,7 @@ def cmd_fractal(args: argparse.Namespace) -> int:
         "out": str(args.out),
         "sectors": sector_statistics(grid),
     }
-    _print_json(payload)
+    print(dumps(payload))
     return 0
 
 
@@ -205,9 +203,7 @@ def _random_disk(rng: random.Random) -> complex:
     return complex(r * math.cos(theta), r * math.sin(theta))
 
 
-def _measure_branches(
-    d: int, samples: int, rng: random.Random, config: NewtonConfig
-) -> tuple[int, str]:
+def _measure_branches(d: int, samples: int, rng: random.Random) -> tuple[int, str]:
     """Worst recorded branch count over a random suite for degree d.
 
     Degrees 2-4 exercise the closed-form solvers on coefficients drawn
@@ -223,12 +219,12 @@ def _measure_branches(
         try:
             if solver is not None:
                 coeffs = [_random_disk(rng) for _ in range(d)]
-                solver(*reversed(coeffs), config, trace)
+                solver(*reversed(coeffs), _SOLVE_CONFIG, trace)
             else:
                 S = _random_disk(rng)
                 while S == 0:
                     S = _random_disk(rng)
-                solve_pure_power(d, S, config, trace)
+                solve_pure_power(d, S, _SOLVE_CONFIG, trace)
         except (NoConvergenceError, ArithmeticError):
             pass
         traces.append(trace)
@@ -242,13 +238,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
         raise ValueError("degrees must be at least 2")
     if args.samples < 1:
         raise ValueError("--samples must be positive")
-    config = NewtonConfig(threshold_r=args.epsilon, max_iters=args.max_iters)
 
     rows = []
     reports = []
     for d in degrees:
         rng = random.Random(args.rng_seed * 1_000_003 + d)
-        measured, suite = _measure_branches(d, args.samples, rng, config)
+        measured, suite = _measure_branches(d, args.samples, rng)
         certificate = max_cup_length(d)
         report = make_report(d, measured)
         rows.append(
@@ -268,9 +263,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
         reports.append(report.to_json_dict())
 
     if args.json:
-        _print_json({"schema": 1, "reports": reports})
+        print(dumps({"schema": 1, "reports": reports}))
     else:
-        _print_json({"schema": 1, "rng_seed": args.rng_seed, "rows": rows})
+        print(dumps({"schema": 1, "rng_seed": args.rng_seed, "rows": rows}))
     return 0
 
 
@@ -349,8 +344,6 @@ def build_parser() -> _Parser:
         action="store_true",
         help="emit bare machine-readable complexity reports",
     )
-    bound.add_argument("--epsilon", type=float, default=_SOLVE_CONFIG.threshold_r)
-    bound.add_argument("--max-iters", type=int, default=_SOLVE_CONFIG.max_iters)
     bound.set_defaults(func=cmd_bound)
 
     verify = sub.add_parser("verify", help="run the acceptance suite")

@@ -9,7 +9,6 @@ length is a weight-budgeted subset-selection problem solved here greedily.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -112,9 +111,6 @@ class CupLengthCertificate:
             "cardinality": self.cardinality,
             "smale_bound": self.smale_bound,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _integer_budget(d: int) -> int:

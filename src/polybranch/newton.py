@@ -38,8 +38,8 @@ class NewtonConfig:
     max_iters: int = 100
 
     def __post_init__(self) -> None:
-        if not (self.threshold_r > 0):
-            raise ValueError("threshold_r must be positive")
+        if not (0 < self.threshold_r < math.inf):
+            raise ValueError("threshold_r must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

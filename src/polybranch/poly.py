@@ -62,6 +62,47 @@ def evaluate(p: MonicPolynomial, t: complex) -> complex:
     return acc
 
 
+def residual(p: MonicPolynomial, t: complex) -> float:
+    """|p(t)|, the residual of a candidate root, without spurious overflow.
+
+    Plain Horner (``evaluate``) wherever its modulus is finite; otherwise
+    ``_scaled_residual``.  The result is inf only where the scaled form
+    overflows too: |p(t)| itself lies beyond the double range, or some
+    coefficient a_j exceeds |t|**(d - j) by about that range.
+    """
+    try:
+        value = abs(evaluate(p, t))
+    except OverflowError:  # finite parts whose modulus exceeds the range
+        value = math.inf
+    return value if math.isfinite(value) else _scaled_residual(p, t)
+
+
+def _scaled_residual(p: MonicPolynomial, t: complex) -> float:
+    """|p(t)| by Horner on w = t / 2**s, scaled back with ``ldexp``.
+
+    s is the binary exponent of the larger part of t (0 below 1), so both
+    parts of w are below 1.  Coefficient j is scaled by 2**(-s*(d - j)), so
+    the loop computes p(t) / 2**(s*d).  Scaling by a power of two is exact:
+    wherever no part leaves the normal range, the value equals
+    ``abs(evaluate(p, t))`` bit for bit.  A scaled coefficient that
+    underflows is below 2**-1022 * |t|**d, under the rounding of t**d.
+    """
+    d = p.degree
+    s = max(0, math.frexp(max(abs(t.real), abs(t.imag)))[1])
+    w = _ldexp(t, -s)
+    acc = 1 + 0j
+    for j in range(d - 1, -1, -1):
+        acc = acc * w + _ldexp(p.coeffs[j], -s * (d - j))
+    try:
+        return math.ldexp(abs(acc), s * d)
+    except OverflowError:
+        return math.inf
+
+
+def _ldexp(z: complex, e: int) -> complex:
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
 def roots_to_poly(roots: RootTuple) -> MonicPolynomial:
     """Expand prod (t - r) by sequential multiplication, in the given order.
 

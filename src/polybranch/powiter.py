@@ -24,6 +24,8 @@ _POLISH_STEPS = 3
 _WINDOW = 8
 _OSCILLATION_FLOOR = 1e-8
 _RATIO_TOL = 0.05
+# Below this norm the squares summed by np.linalg.norm leave the normal range.
+_NORM_FLOOR = 2.0 ** -511
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,10 @@ def power_iterate(
     ||b_n - exp(i phi) b_{n-1}|| (phi chosen to cancel the rotating phase of a
     complex dominant eigenvalue).  Converged requires both that displacement
     and the eigen-residual ||F v - lambda v|| (relative to ||F||) under tol.
-    An iterate whose norm leaves the double range ends the run early and
-    unconverged, so such a run reports fewer than ``max_iters`` iterations.
+    An iterate whose norm overflows ends the run early and unconverged, so
+    such a run reports fewer than ``max_iters`` iterations; one whose norm
+    underflows is rescaled by a power of two, and only an exactly zero
+    iterate raises ``ZeroEigenvalueError``.
     """
     d = F.dimension
     if d < 1:
@@ -133,8 +137,15 @@ def power_iterate(
             norm_w = float(np.linalg.norm(w))
             if not math.isfinite(norm_w):
                 break
-            if norm_w == 0.0:
-                raise ZeroEigenvalueError()
+            if norm_w < _NORM_FLOOR:
+                # The squares inside the norm underflow.  Only an exactly
+                # zero iterate means a zero eigenvalue; any other is rescaled
+                # by the power of two that brings its largest part near 1.
+                peak = float(np.max(np.abs(w.view(np.float64))))
+                if peak == 0.0:
+                    raise ZeroEigenvalueError()
+                w = np.ldexp(w.view(np.float64), -math.frexp(peak)[1]).view(np.complex128)
+                norm_w = float(np.linalg.norm(w))
             b_new = w / norm_w
             inner = complex(np.vdot(b, b_new))
             phase = inner / abs(inner) if abs(inner) > 0 else 1.0 + 0j
@@ -235,10 +246,9 @@ def solve_by_power_iteration(
         roots.append(z)
         iters.append(res.iterations)
         current = deflate(current, z)[0]
-    residuals = tuple(abs(evaluate(p, z)) for z in roots)
-    return RootReport(
+    return RootReport.answering(
+        p,
         roots=tuple(roots),
-        residuals=residuals,
         branch_count=0,
         method="power-iteration",
         per_root_iterations=tuple(iters),

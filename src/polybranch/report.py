@@ -1,16 +1,23 @@
-"""Root reports: the common result shape solvers hand to callers."""
+"""Root reports and the one JSON encoding every command writes."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 
+from .poly import MonicPolynomial, residual
+
+
+def dumps(payload: dict) -> str:
+    """Strict JSON: sorted keys, indent 2; a non-finite number raises ValueError."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+
 
 @dataclass(frozen=True)
 class RootReport:
     """Roots of one polynomial plus the accounting of how they were made.
 
-    ``residuals[j]`` is |f(roots[j])| against the original polynomial,
+    ``residuals[j]`` is |poly(roots[j])| for the ``poly`` given to ``answering``,
     ``branch_count`` the number of recorded decisions of the run (0 for the
     branch-free power-iteration method), ``per_root_iterations[j]`` the
     iteration effort attributed to roots[j], and ``warnings`` the non-fatal
@@ -31,6 +38,13 @@ class RootReport:
         if self.branch_count < 0:
             raise ValueError("branch_count must be nonnegative")
 
+    @classmethod
+    def answering(
+        cls, poly: MonicPolynomial, roots: tuple[complex, ...], **fields
+    ) -> RootReport:
+        """The report for ``roots`` of ``poly``; ``fields`` are the other fields."""
+        return cls(roots, tuple(residual(poly, z) for z in roots), **fields)
+
     @property
     def degree(self) -> int:
         return len(self.roots)
@@ -48,4 +62,4 @@ class RootReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        return dumps(self.to_json_dict())

@@ -10,7 +10,6 @@ numbers either way.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .complexity import smale_bound
@@ -89,9 +88,6 @@ class ComplexityReport:
             "smale_lower_bound": self.smale_lower_bound,
             "bound_satisfied": self.bound_satisfied,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def make_report(degree: int, measured_branches: int) -> ComplexityReport:

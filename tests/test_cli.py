@@ -25,7 +25,7 @@ import pytest
 
 import polybranch
 from polybranch import MonicPolynomial
-from polybranch.cli import solve
+from polybranch.cli import parse_coeffs, solve
 
 # The directory that holds the imported package.  Children get it as an
 # absolute PYTHONPATH entry, so they import the same code whatever their cwd.
@@ -80,6 +80,15 @@ def run_cli(*args, cwd=None, env=None):
 
 def roots_as_complex(payload):
     return [complex(re, im) for re, im in payload["roots"]]
+
+
+def strict_json(text):
+    """Parse JSON that must not hold NaN or +-Infinity."""
+
+    def reject(constant):
+        raise AssertionError(f"non-finite number {constant} in the output")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_solve_closed_form_known_quadratic():
@@ -166,11 +175,45 @@ def test_power_iteration_flags_an_overflowing_iterate():
     assert any("overflow" in w and "degree-2 stage" in w for w in warnings)
 
 
+def test_power_iteration_rescales_an_underflowing_iterate():
+    # t^2 + 1e-300: the first iterate's norm underflows to 0 in the sum of
+    # squares, yet the iterate is not zero.  Rescaled, the stage runs on to
+    # the tie of the roots +-1e-150 i, which share a modulus.
+    proc = run_cli("solve", "--method", "power-iteration", "--coeffs=1e-300,0")
+    assert proc.returncode == 2
+    warnings = json.loads(proc.stdout)["warnings"]
+    assert any("equal-magnitude" in w and "degree-2 stage" in w for w in warnings)
+
+
 def test_usage_errors_exit_one():
     assert run_cli().returncode == 1
     assert run_cli("frobnicate").returncode == 1
     assert run_cli("solve", "--coeffs", "abc").returncode == 1
     assert run_cli("solve").returncode == 1
+    assert run_cli("bound", "--degrees", "2", "--epsilon", "1e-4").returncode == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "--epsilon", "inf", "--coeffs=-1,0"),
+        ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "8x8", "--threshold", "inf"),
+        ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "8x8", "--seed", "nan,0"),
+        ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "8x8", "--window=-inf,inf,-1,1"),
+    ],
+)
+def test_non_finite_input_is_an_error_before_any_output(args, tmp_path):
+    proc = run_cli(*args, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ["nan,0", "1,inf", "nan;", "0;-inf,0"])
+def test_both_coefficient_forms_share_one_finite_rule(text):
+    with pytest.raises(ValueError, match="expected finite numbers"):
+        parse_coeffs(text)
 
 
 @pytest.mark.parametrize(
@@ -199,7 +242,9 @@ def test_pure_power_solves_across_the_double_range(d, S):
     proc = run_cli("solve", "--pure-power", "--d", str(d), f"--S={S}")
     assert proc.returncode in (0, 2)
     assert "Traceback" not in proc.stderr
-    got = np.array(roots_as_complex(json.loads(proc.stdout)))
+    # At 1.7e308 the parts of a root square past the double range, so only
+    # the scaled form keeps the residuals finite.
+    got = np.array(roots_as_complex(strict_json(proc.stdout)))
     # the doubles the command parsed, not the decimals
     radicand = mpmath.mpc(*(float(part) for part in S.split(",")))
     with mpmath.workdps(50):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polybranch import (
     MonicPolynomial,
@@ -16,6 +20,7 @@ from polybranch import (
     in_coefficient_box,
     roots_to_poly,
 )
+from polybranch.poly import _scaled_residual, residual
 
 RNG_SEED = 20260814
 
@@ -159,3 +164,86 @@ def test_validation_errors() -> None:
         deflate(MonicPolynomial((1,)), 0)
     with pytest.raises(ValueError):
         default_coefficient_bound(0)
+
+
+# Fixed example sequence, no example database: the same cases every run.
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def parts(low: float, high: float) -> st.SearchStrategy[float]:
+    """0.0, or a float of either sign with modulus in [low, high]."""
+    modulus = st.floats(min_value=low, max_value=high)
+    return st.just(0.0) | modulus | modulus.map(lambda x: -x)
+
+
+def complexes(low: float, high: float) -> st.SearchStrategy[complex]:
+    return st.builds(complex, parts(low, high), parts(low, high))
+
+
+def polynomials(low: float, high: float) -> st.SearchStrategy[MonicPolynomial]:
+    """Dense polynomials of degree 1-6 and pure powers t**d + a0 at d = 16, 64."""
+    dense = st.lists(complexes(low, high), min_size=1, max_size=6)
+    pure = st.builds(
+        lambda d, S: (S,) + (0j,) * (d - 1), st.sampled_from([16, 64]), complexes(low, high)
+    )
+    return (dense | pure).map(lambda coeffs: MonicPolynomial(tuple(coeffs)))
+
+
+def plain_residual(p: MonicPolynomial, t: complex) -> float:
+    try:
+        return abs(evaluate(p, t))
+    except OverflowError:
+        return math.inf
+
+
+@PROPERTY
+@given(polynomials(5e-324, 1.7e308), complexes(5e-324, 1.7e308))
+def test_residual_is_plain_horner_wherever_that_is_finite(p, t) -> None:
+    plain = plain_residual(p, t)
+    assume(math.isfinite(plain))
+    assert residual(p, t) == plain
+
+
+@PROPERTY
+@given(polynomials(2.0**-20, 2.0**40), complexes(2.0**-20, 2.0**40))
+def test_scaled_residual_equals_plain_horner_in_the_normal_range(p, t) -> None:
+    # Every part stays far inside the normal range here, where scaling by a
+    # power of two is exact, so the scaled form must agree bit for bit.
+    plain = plain_residual(p, t)
+    assume(math.isfinite(plain))
+    assert _scaled_residual(p, t) == plain
+
+
+def pure_power_near_roots() -> st.SearchStrategy[tuple[MonicPolynomial, complex]]:
+    """t**d - S with |S| near the double maximum, at a rounded root of it."""
+
+    def build(d: int, S: complex, k: int):
+        t = cmath.exp((cmath.log(S) + 2j * math.pi * k) / d)
+        return MonicPolynomial((-S,) + (0j,) * (d - 1)), t
+
+    return st.builds(
+        build,
+        st.sampled_from([2, 3, 4, 7, 16, 64]),
+        complexes(1e300, 1.7e308).filter(lambda S: S != 0),
+        st.integers(min_value=0, max_value=63),
+    )
+
+
+@PROPERTY
+@given(st.tuples(polynomials(1e-300, 1e300), complexes(1e100, 1e300)) | pure_power_near_roots())
+def test_residual_beyond_plain_horner_stays_within_rounding(case) -> None:
+    # Where t**d overflows, compare with the exact value at 60 digits: within
+    # the Horner rounding bound when that fits the double range, inf beyond.
+    p, t = case
+    got = residual(p, t)
+    with mpmath.workdps(60):
+        z = mpmath.mpc(t.real, t.imag)
+        full = [mpmath.mpc(c.real, c.imag) for c in p.coeffs] + [mpmath.mpc(1)]
+        exact = abs(mpmath.polyval(full[::-1], z))
+        scale = sum(abs(c) * abs(z) ** j for j, c in enumerate(full))
+        bound = 8 * (p.degree + 1) * 2.0**-52 * scale
+        top = mpmath.mpf(1.7976931348623157e308)
+        if exact + bound < top:
+            assert abs(got - exact) <= bound
+        elif exact - bound > top:
+            assert got == math.inf

@@ -166,6 +166,14 @@ def test_zero_start_vector_annihilation_is_signalled() -> None:
         power_iterate(companion(MonicPolynomial((0, 0))))  # t^2 annihilates e_2
 
 
+def test_an_underflowing_iterate_is_rescaled_not_read_as_zero() -> None:
+    # t^2 + 1e-300: the first iterate (-1e-300, 0) is not zero, but the sum of
+    # squares inside its norm underflows to 0.
+    res = power_iterate(companion(MonicPolynomial((1e-300, 0))))
+    assert not res.converged and res.iterations == 500
+    assert detect_equal_magnitude(res.residual_history)  # roots +-1e-150 i
+
+
 # --------------------------------------------------- detect_equal_magnitude
 
 def test_detector_examples() -> None:
