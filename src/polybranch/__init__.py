@@ -17,13 +17,7 @@ from .complexity import (
     smale_bound,
     verify_lemma_claim,
 )
-from .closedform import (
-    QuarticResolvent,
-    quartic_resolvent,
-    solve_cubic,
-    solve_quadratic,
-    solve_quartic,
-)
+from .closedform import solve_cubic, solve_quadratic, solve_quartic
 from .fractal import (
     FractalGrid,
     escape_times,
@@ -45,11 +39,9 @@ from .newton import (
 from .poly import (
     MonicPolynomial,
     RootTuple,
-    default_coefficient_bound,
     deflate,
     evaluate,
     has_repeated_roots,
-    in_coefficient_box,
     roots_to_poly,
 )
 from .powiter import (
@@ -64,9 +56,7 @@ from .powiter import (
 from .report import RootReport
 from .tracing import (
     BranchTrace,
-    ComplexityReport,
     distinct_decision_labels,
-    make_report,
     record_decision,
     worst_case_branches,
 )

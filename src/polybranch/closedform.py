@@ -20,9 +20,7 @@ quantity an adversarial input could not already force.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 from .newton import NewtonConfig, scaled_root
 from .tracing import BranchTrace, record_decision
@@ -93,38 +91,23 @@ def solve_cubic(
     )
 
 
-@dataclass(frozen=True)
-class QuarticResolvent:
-    """Intermediate quantities of the quartic solve.
-
-    ``p``/``q`` are the depressed quartic's quadratic/linear coefficients,
-    ``delta0``/``delta1`` the two classical invariants, ``cubic_radical`` the
-    cube-rooted combination built from them (exactly 0 on the detected
-    degenerate path), and ``offset`` half the square root separating the two
-    final root pairs (0 when the degenerate path skipped it).
-    """
-
-    p: complex
-    q: complex
-    delta0: complex
-    delta1: complex
-    cubic_radical: complex
-    offset: complex
-
-
-def quartic_resolvent(
+def solve_quartic(
     a3: complex,
     a2: complex,
     a1: complex,
     a0: complex,
     config: NewtonConfig | None = None,
     trace: BranchTrace | None = None,
-) -> QuarticResolvent:
-    """Build the resolvent quantities for t**4 + a3 t**3 + a2 t**2 + a1 t + a0.
+) -> tuple[complex, complex, complex, complex]:
+    """Roots of t**4 + a3 t**3 + a2 t**2 + a1 t + a0.  At most seven decisions.
 
-    Spends 3 branches on the nested square root + cube root, 1 on the
-    degenerate test of the cube radical, and (off the degenerate path) 1 on
-    the offset's square root: at most 5.
+    ``p``/``q`` are the depressed quartic's quadratic/linear coefficients and
+    ``delta0``/``delta1`` the two classical invariants.  The nested square
+    root and cube root of the invariants spend 3 branches, the degenerate
+    test of that cube radical 1, and off the degenerate path the offset's
+    square root and the two final square roots 3 more.  On the degenerate
+    path (vanishing cube radical, i.e. a root of multiplicity >= 3) the roots
+    are rational in the coefficients and no further radical is spent.
     """
     p = (8 * a2 - 3 * a3 * a3) / 8
     q = (a3 ** 3 - 4 * a3 * a2 + 8 * a1) / 8
@@ -138,13 +121,18 @@ def quartic_resolvent(
     )
     inner = _radical(2, delta1 * delta1 - 4 * delta0 ** 3, config, trace)
     big_q = _radical(3, (delta1 + inner) / 2, config, trace)
-    degenerate = record_decision(
+    shift = a3 / 4
+    if record_decision(
         trace,
         "resolvent_radical_zero",
         abs(big_q) < 1e-10 * max(1.0, abs(delta1)) ** (1.0 / 3.0),
-    )
-    if degenerate:
-        return QuarticResolvent(p, q, delta0, delta1, 0j, 0j)
+    ):
+        # triple root rho = -3q/(4p); p ~ 0 forces the quadruple root -a3/4
+        if abs(p) <= 1e-12 * max(1.0, abs(a3) ** 2, abs(a2)):
+            r = -shift
+            return (r, r, r, r)
+        rho = -3 * q / (4 * p)
+        return (rho - shift, rho - shift, rho - shift, -3 * rho - shift)
     # The cube root is only determined up to a unit cube root; a choice whose
     # offset collapses to 0 (possible even for well-separated roots) is
     # rotated to a sibling before the radical is taken.  Plumbing, no branch.
@@ -155,35 +143,7 @@ def quartic_resolvent(
         ):
             break
         big_q = big_q * _OMEGA
-    offset = _radical(2, radicand, config, trace) / 2
-    return QuarticResolvent(p, q, delta0, delta1, big_q, offset)
-
-
-def solve_quartic(
-    a3: complex,
-    a2: complex,
-    a1: complex,
-    a0: complex,
-    config: NewtonConfig | None = None,
-    trace: BranchTrace | None = None,
-) -> tuple[complex, complex, complex, complex]:
-    """Roots of t**4 + a3 t**3 + a2 t**2 + a1 t + a0.  At most seven decisions.
-
-    On the degenerate path (vanishing cube radical, i.e. a root of
-    multiplicity >= 3) the roots are rational in the coefficients and no
-    further radical is spent.
-    """
-    res = quartic_resolvent(a3, a2, a1, a0, config, trace)
-    shift = a3 / 4
-    p, q = res.p, res.q
-    if res.cubic_radical == 0:
-        # triple root rho = -3q/(4p); p ~ 0 forces the quadruple root -a3/4
-        if abs(p) <= 1e-12 * max(1.0, abs(a3) ** 2, abs(a2)):
-            r = -shift
-            return (r, r, r, r)
-        rho = -3 * q / (4 * p)
-        return (rho - shift, rho - shift, rho - shift, -3 * rho - shift)
-    s = res.offset
+    s = _radical(2, radicand, config, trace) / 2
     u1 = _radical(2, -4 * s * s - 2 * p + q / s, config, trace)
     u2 = _radical(2, -4 * s * s - 2 * p - q / s, config, trace)
     return (

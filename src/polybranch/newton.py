@@ -198,7 +198,8 @@ def scaled_root(
 
     When d > 1022 that window reaches below the smallest normal double and
     the reduced radicand would silently lose bits; such inputs raise
-    ArithmeticError instead.
+    ArithmeticError instead, as does a radicand that is not finite (say an
+    overflowed discriminant), before any decision or step is spent on it.
 
     That walk takes O(d) steps, so the iteration budget given to the kernel
     is raised to at least ~4d; the caller's max_iters still applies whenever
@@ -210,6 +211,8 @@ def scaled_root(
     S = complex(S)
     if S == 0:
         raise ValueError("zero has only the trivial root")
+    if not cmath.isfinite(S):
+        raise ArithmeticError(f"t**{d} = {S!r}: the radicand is not finite")
     cfg = config or DEFAULT_CONFIG
     floor_iters = 4 * d + 50
     if cfg.max_iters < floor_iters:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 RootTuple = tuple[complex, ...]
 
-# Roots closer than this (absolute distance) count as one repeated root.
+# Roots closer than this, relative to the larger modulus of the pair, count
+# as one repeated root.
 REPEATED_ROOT_TOL = 1e-9
 
 
@@ -143,27 +144,16 @@ def deflate(p: MonicPolynomial, root: complex) -> tuple[MonicPolynomial, complex
 
 
 def has_repeated_roots(roots: RootTuple) -> bool:
-    """True when some pair of roots lies within ``REPEATED_ROOT_TOL``."""
+    """True when some pair of roots lies within ``REPEATED_ROOT_TOL`` times
+    the larger of their moduli.
+
+    Relative, so the verdict does not depend on the roots' scale; equal
+    roots, zeros included, always coincide.
+    """
     n = len(roots)
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= REPEATED_ROOT_TOL:
+            ri, rj = roots[i], roots[j]
+            if abs(ri - rj) <= REPEATED_ROOT_TOL * max(abs(ri), abs(rj)):
                 return True
     return False
-
-
-def default_coefficient_bound(degree: int) -> float:
-    """The default side of the coefficient box for a given degree (2**degree)."""
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    return 2.0 ** degree
-
-
-def in_coefficient_box(p: MonicPolynomial, bound: float | None = None) -> bool:
-    """True when every coefficient satisfies |a_j| <= bound.
-
-    ``bound=None`` uses the degree default; ``math.inf`` accepts everything.
-    """
-    if bound is None:
-        bound = default_coefficient_bound(p.degree)
-    return all(abs(c) <= bound for c in p.coeffs)

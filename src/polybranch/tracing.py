@@ -6,13 +6,14 @@ Loop iterations and convergence checks are bookkeeping, not decisions, and
 are tallied separately as computation steps.  Tracing is optional: all
 recording helpers accept ``trace=None`` and solvers produce bit-identical
 numbers either way.
+
+This module records and summarizes traces only; the comparison of a
+measured count with the lower bound is the ``bound`` command's row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from .complexity import smale_bound
 
 
 @dataclass(frozen=True)
@@ -70,39 +71,3 @@ def distinct_decision_labels(traces: list[BranchTrace]) -> int:
     for t in traces:
         seen.update(t.labels())
     return len(seen)
-
-
-@dataclass(frozen=True)
-class ComplexityReport:
-    """Measured branching of a solver family next to its lower bound."""
-
-    degree: int
-    measured_branches: int
-    smale_lower_bound: float
-    bound_satisfied: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "measured_branches": self.measured_branches,
-            "smale_lower_bound": self.smale_lower_bound,
-            "bound_satisfied": self.bound_satisfied,
-        }
-
-
-def make_report(degree: int, measured_branches: int) -> ComplexityReport:
-    """Pair a measured worst-case branch count with the degree's lower bound.
-
-    ``bound_satisfied`` is the strict inequality measured > bound.
-    """
-    if degree < 2:
-        raise ValueError("bound undefined below degree 2")
-    if measured_branches < 0:
-        raise ValueError("measured_branches must be nonnegative")
-    bound = smale_bound(degree)
-    return ComplexityReport(
-        degree=degree,
-        measured_branches=measured_branches,
-        smale_lower_bound=bound,
-        bound_satisfied=measured_branches > bound,
-    )

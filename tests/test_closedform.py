@@ -14,7 +14,6 @@ from polybranch import (
     NewtonConfig,
     NoConvergenceError,
     evaluate,
-    quartic_resolvent,
     roots_to_poly,
     solve_cubic,
     solve_quadratic,
@@ -138,24 +137,26 @@ def test_cubic_branch_ceiling_over_random_inputs() -> None:
 # ------------------------------------------------------------------ quartics
 
 def test_quartic_resolvent_values_for_fourth_roots_of_unity() -> None:
-    res = quartic_resolvent(0, 0, 0, -1, TIGHT)  # t^4 - 1
-    assert res.p == 0
-    assert res.q == 0
-    assert res.delta0 == -12
-    assert res.delta1 == 0
-    # non-degenerate: the cube radical has modulus (4*12^3)^(1/6) = 2*sqrt(3)
-    assert abs(abs(res.cubic_radical) - 2 * math.sqrt(3)) < 1e-6
-    assert res.offset != 0
+    # t^4 - 1: the cube radical is nonzero, so the solve goes on past the
+    # degenerate test to the offset and the two final square roots.
+    trace = BranchTrace()
+    solve_quartic(0, 0, 0, -1, TIGHT, trace)
+    assert [(d.label, d.value) for d in trace.decisions] == [
+        ("seed_sector_0", True),
+        ("seed_sector_0", True),
+        ("resolvent_radical_zero", False),
+        ("seed_sector_0", False),
+        ("seed_sector_0", True),
+        ("seed_sector_0", True),
+    ]
 
 
 def test_quartic_resolvent_detects_quadruple_root() -> None:
     trace = BranchTrace()
-    res = quartic_resolvent(4, 6, 4, 1, TIGHT, trace)  # (t + 1)^4
-    assert res.delta0 == 0
-    assert res.delta1 == 0
-    assert res.cubic_radical == 0
-    assert res.offset == 0
-    assert trace.branch_count == 3  # two radicals-of-zero plus the test
+    solve_quartic(4, 6, 4, 1, TIGHT, trace)  # (t + 1)^4
+    # two radicals of zero, then the degenerate test, which holds
+    assert trace.labels() == ["seed_sector_0", "seed_sector_0", "resolvent_radical_zero"]
+    assert trace.decisions[-1].value is True
 
 
 def test_quartic_known_factorizations() -> None:
@@ -253,5 +254,10 @@ def test_expanding_the_returned_roots_recovers_the_coefficients() -> None:
 
 
 def test_radical_failure_propagates_as_no_convergence() -> None:
+    # t^2 - 1/2: the square root of the discriminant 2 cannot meet a
+    # convergence radius below the spacing of doubles near its root.
     with pytest.raises(NoConvergenceError):
+        solve_quadratic(0, -0.5, NewtonConfig(threshold_r=5e-324))
+    # a radicand that is not finite is rejected before any Newton step
+    with pytest.raises(ArithmeticError):
         solve_quadratic(complex(float("nan"), 0), 1)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
@@ -15,7 +14,6 @@ from polybranch import (
     smale_bound,
     verify_lemma_claim,
 )
-from polybranch.report import dumps
 
 
 def dp_max_pairs(budget: int) -> int:
@@ -124,11 +122,3 @@ def test_lemma_claim_spot_values() -> None:
     # greedy-optimal family (2 pairs) stays below the target 4^(2/3) ~ 2.52.
     # The acceptance sweep reports the full picture.
     assert verify_lemma_claim(16) is False
-
-
-def test_certificate_serializes_deterministically() -> None:
-    cert = max_cup_length(1024)
-    d = cert.to_json_dict()
-    assert set(d) == {"d", "budget", "pairs", "total_weight", "cardinality", "smale_bound"}
-    assert json.loads(dumps(cert.to_json_dict())) == d
-    assert dumps(cert.to_json_dict()) == dumps(cert.to_json_dict())

@@ -276,6 +276,24 @@ def test_scaled_root_rejects_zero() -> None:
         scaled_root(3, 0)
 
 
+@pytest.mark.parametrize(
+    "S",
+    [
+        complex(math.nan, 0),
+        complex(math.inf, 0),
+        complex(1, -math.inf),
+        complex(math.inf, math.nan),
+    ],
+)
+def test_scaled_root_rejects_a_non_finite_radicand(S) -> None:
+    # An overflowed discriminant fails at once, before any decision or step.
+    trace = BranchTrace()
+    with pytest.raises(ArithmeticError, match=r"t\*\*3 = .*not finite"):
+        scaled_root(3, S, TIGHT, trace)
+    assert trace.branch_count == 0
+    assert trace.computation_count == 0
+
+
 # ----------------------------------------------------------- solve_pure_power
 
 def test_pure_power_known_root_sets() -> None:
@@ -320,6 +338,9 @@ def test_pure_power_branch_ceiling_and_residuals() -> None:
 
 
 def test_pure_power_failure_carries_the_outcome() -> None:
+    # A convergence radius below the spacing of doubles near sqrt(2)/2 can
+    # never be met: the iterate ends up alternating between neighbours.
     with pytest.raises(NoConvergenceError) as info:
-        solve_pure_power(2, complex(float("nan"), 0))
+        solve_pure_power(2, 2, NewtonConfig(threshold_r=5e-324))
     assert info.value.outcome.converged is False
+    assert info.value.outcome.reason == "max iterations"

@@ -1,23 +1,19 @@
-"""Tests for decision traces and the measured-vs-bound report."""
+"""Tests for decision traces."""
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
 
 from polybranch import (
     BranchTrace,
-    ComplexityReport,
     distinct_decision_labels,
-    make_report,
     record_decision,
     solve_cubic,
     solve_quadratic,
     worst_case_branches,
 )
-from polybranch.report import dumps
 
 
 def random_complex(rng: random.Random, bound: float = 10.0) -> complex:
@@ -99,34 +95,3 @@ def test_distinct_labels_counts_sites_not_paths() -> None:
     assert worst_case_branches([a, b]) == 2
     with pytest.raises(ValueError):
         distinct_decision_labels([])
-
-
-def test_make_report_examples() -> None:
-    r = make_report(2, 1)
-    assert r.smale_lower_bound == 0.0
-    assert r.bound_satisfied is True
-
-    r = make_report(4, 7)
-    assert abs(r.smale_lower_bound - (2 ** (2 / 3) - 1)) < 1e-12
-    assert r.bound_satisfied is True
-
-    assert make_report(2, 0).bound_satisfied is False  # strict inequality
-
-    with pytest.raises(ValueError):
-        make_report(1, 1)
-    with pytest.raises(ValueError):
-        make_report(2, -1)
-
-
-def test_report_serializes_to_the_documented_shape() -> None:
-    r = make_report(3, 5)
-    d = r.to_json_dict()
-    assert set(d) == {"degree", "measured_branches", "smale_lower_bound", "bound_satisfied"}
-    assert isinstance(d["degree"], int)
-    assert isinstance(d["measured_branches"], int)
-    assert isinstance(d["smale_lower_bound"], float)
-    assert isinstance(d["bound_satisfied"], bool)
-    round_trip = json.loads(dumps(r.to_json_dict()))
-    assert round_trip == d
-    assert dumps(r.to_json_dict()) == dumps(r.to_json_dict())  # deterministic serialization
-    assert r == ComplexityReport(**d)

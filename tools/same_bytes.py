@@ -1,0 +1,181 @@
+"""Check that two source trees give the CLI the same bytes.
+
+Usage: python3 tools/same_bytes.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are directories that hold the ``polybranch``
+package, i.e. the ``src`` of two checkouts.  A tree of an earlier commit
+comes from plain git, for example ``git worktree add ../parent HEAD~1`` and
+then ``../parent/src``.
+
+Every command in ``COMMANDS`` runs as ``python -m polybranch ...`` once per
+tree, each time in a fresh temporary directory with PYTHONPATH pointing at
+that tree.  The two runs are compared on stdout, stderr (the tree's path
+replaced by ``<src>``), exit code and the bytes of every file the command
+wrote.  One line is printed per command that differs, then a count; the exit
+status is 1 if any command differs, else 0.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FRACTAL_FILES = ("--out", "o.ppm", "--pgm", "o.pgm")
+
+COMMANDS: list[tuple[str, ...]] = [
+    # solve, closed form
+    ("solve", "--coeffs=-1,0"),
+    ("solve", "--coeffs=1,2,3"),
+    ("solve", "--coeffs=1,2,3,4"),
+    ("solve", "--coeffs=-24,50,-35,10"),
+    ("solve", "--coeffs=0,1;2"),
+    ("solve", "--coeffs=1,-2"),
+    ("solve", "--coeffs=1,2"),
+    ("solve", "--coeffs=0,0,0,0"),
+    ("solve", "--coeffs=1,2,3", "--epsilon", "1e-12"),
+    ("solve", "--coeffs=1,2,3", "--max-iters", "1"),
+    ("solve", "--coeffs=1,2,3,4,5"),
+    ("solve", "--coeffs=nan,1"),
+    ("solve", "--coeffs", "abc"),
+    ("solve",),
+    ("solve", "--coeffs=1,1,1e120"),
+    # solve, pure power
+    ("solve", "--pure-power", "--d", "3", "--S=1,2"),
+    ("solve", "--pure-power", "--d", "16", "--S=1,2"),
+    ("solve", "--pure-power", "--d", "64", "--S=-3,0.5"),
+    ("solve", "--pure-power", "--d", "3", "--S=0"),
+    ("solve", "--pure-power", "--d", "1", "--S=2"),
+    ("solve", "--pure-power", "--d", "0", "--S=2"),
+    ("solve", "--pure-power", "--d", "3"),
+    ("solve", "--pure-power", "--d", "3", "--S=2", "--coeffs=-2,0,0"),
+    ("solve", "--pure-power", "--coeffs=5"),
+    ("solve", "--pure-power", "--coeffs=-0,-0"),
+    ("solve", "--method", "pure-power", "--coeffs=-8,0,0"),
+    ("solve", "--method", "pure-power", "--coeffs=-8,1,0"),
+    ("solve", "--pure-power", "--d", "16", "--S=1,2", "--max-iters", "7"),
+    ("solve", "--pure-power", "--d", "3", "--S=-0,-1"),
+    ("solve", "--pure-power", "--d", "4", "--S=-0,-1"),
+    ("solve", "--pure-power", "--d", "2", "--S=-1,-0"),
+    ("solve", "--pure-power", "--d", "5", "--S=-0,1"),
+    ("solve", "--pure-power", "--d", "7", "--S=1e300,1e300"),
+    ("solve", "--pure-power", "--d", "2", "--S=1e308,1e308"),
+    ("solve", "--pure-power", "--d", "1000", "--S=2"),
+    ("solve", "--pure-power", "--d", "1023", "--S=2,0.001"),
+    ("solve", "--pure-power", "--d", "200", "--S=1e-300,3e-301"),
+    ("solve", "--pure-power", "--d", "1074", "--S=2,0.001"),
+    ("solve", "--pure-power", "--d", "1075", "--S=2"),
+    ("solve", "--pure-power", "--d", "3", "--S=1e-310"),
+    ("solve", "--pure-power", "--d", "5", "--S=5e-324"),
+    ("solve", "--pure-power", "--d", "600", "--S=1e300"),
+    # solve, power iteration
+    ("solve", "--method", "power-iteration", "--coeffs=-1,0"),
+    ("solve", "--method", "power-iteration", "--coeffs=-6,11,-6"),
+    ("solve", "--method", "power-iteration", "--coeffs=1,2"),
+    ("solve", "--method", "power-iteration", "--coeffs=0,0,1e200"),
+    ("solve", "--method", "power-iteration", "--coeffs=-6,11,-6", "--max-iters", "5"),
+    ("solve", "--method", "power-iteration", "--coeffs=-24,50,-35,10", "--epsilon", "1e-12"),
+    ("solve", "--method", "power-iteration"),
+    ("solve", "--method", "power-iteration", "--coeffs=0,-1,0"),
+    ("solve", "--method", "power-iteration", "--coeffs=2,-3", "--max-iters", "1"),
+    ("solve", "--method", "power-iteration", "--coeffs=0,0"),
+    # fractal
+    ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "64x64"),
+    ("fractal", "--d", "4", *FRACTAL_FILES, "--resolution", "128x96", "--seed", "0.5,0.5"),
+    ("fractal", "--d", "5", *FRACTAL_FILES, "--resolution", "64x64",
+     "--window=-1.93,2.07,-2.02,1.98"),
+    ("fractal", "--d", "2", *FRACTAL_FILES),
+    ("fractal", "--d", "6", *FRACTAL_FILES, "--resolution", "128x128"),
+    ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "65x65"),
+    ("fractal", "--d", "6", *FRACTAL_FILES, "--resolution", "127x129"),
+    ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "33x31",
+     "--threshold", "0.3", "--max-iters", "2"),
+    ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "64x64", "--max-iters", "1"),
+    ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "64x64", "--seed", "0,0"),
+    ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "64x64", "--seed", "nan,0"),
+    ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "64x64",
+     "--seed", "1.0000001,0", "--threshold", "1e-12"),
+    ("fractal", "--d", "1", *FRACTAL_FILES),
+    # bound
+    ("bound", "--degrees", "2,3,4,5", "--samples", "300"),
+    ("bound", "--degrees", "2,3,4,5", "--samples", "300", "--json"),
+    ("bound", "--degrees", "2,3,4,6,8,16", "--samples", "200", "--rng-seed", "7"),
+    ("bound", "--degrees", "2", "--epsilon", "1e-4", "--max-iters", "20", "--json"),
+    ("bound", "--degrees", "1"),
+    ("bound", "--degrees", "2", "--samples", "0"),
+    # help
+    ("--help",),
+    ("solve", "--help"),
+    ("fractal", "--help"),
+    ("bound", "--help"),
+    ("verify", "--help"),
+    # double range and non-finite input
+    ("solve", "--pure-power", "--d", "2", "--S=1.7e308,1.7e308"),
+    ("solve", "--epsilon", "inf", "--coeffs=-1,0"),
+    ("solve", "--pure-power", "--d", "3", "--S=nan"),
+    ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "8x8", "--threshold", "inf"),
+    ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "8x8", "--window=-inf,inf,-1,1"),
+    ("bound", "--degrees", "2,1023", "--samples", "10", "--rng-seed", "3"),
+    ("solve", "--method", "power-iteration", "--coeffs=1e200,0"),
+    ("solve", "--method", "power-iteration", "--coeffs=1e-300,0"),
+    # coincident roots are relative to the roots' modulus
+    ("solve", "--coeffs=1e-20,0"),
+    ("solve", "--coeffs=3e-301,-1.3e-150"),
+    ("solve", "--method", "power-iteration", "--coeffs=3e-301,-1.3e-150"),
+    ("solve", "--coeffs=1,4,6,4"),
+    ("solve", "--coeffs=-2,5,-3,-1"),
+    # radicands that are not finite: an overflowed discriminant, inf - inf
+    ("solve", "--coeffs=1,1e160"),
+    ("solve", "--coeffs=1e308,1e200"),
+    ("bound", "--degrees", "2", "--json"),
+]
+
+
+def run(tree: Path, argv: tuple[str, ...]) -> tuple:
+    """Exit code, stdout, normalised stderr and written files of one command."""
+    env = dict(os.environ, PYTHONPATH=str(tree))
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(
+            [sys.executable, "-m", "polybranch", *argv],
+            cwd=tmp,
+            env=env,
+            capture_output=True,
+            timeout=600,
+            check=False,
+        )
+        files = {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
+    stderr = proc.stderr.replace(str(tree).encode(), b"<src>")
+    return proc.returncode, proc.stdout, stderr, files
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/same_bytes.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv)
+    for tree in (parent, change):
+        if not (tree / "polybranch" / "__init__.py").is_file():
+            print(f"error: no polybranch package in {tree}", file=sys.stderr)
+            return 2
+    differing = 0
+    for command in COMMANDS:
+        before, after = run(parent, command), run(change, command)
+        what = [
+            name
+            for name, a, b in zip(("exit", "stdout", "stderr", "files"), before, after)
+            if a != b
+        ]
+        if what:
+            differing += 1
+            detail = ", ".join(what)
+            if "exit" in what:
+                detail += f" (exit {before[0]} -> {after[0]})"
+            print(f"differs: polybranch {' '.join(command)}: {detail}")
+    print(f"{len(COMMANDS) - differing} of {len(COMMANDS)} commands identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
