@@ -27,7 +27,13 @@ from pathlib import Path
 from .closedform import solve_cubic, solve_quadratic, solve_quartic
 from .complexity import max_cup_length
 from .fractal import render, sector_statistics, write_image, write_pgm
-from .newton import DEFAULT_CONFIG, NewtonConfig, NoConvergenceError, solve_pure_power
+from .newton import (
+    DEFAULT_CONFIG,
+    RADICAL_CONFIG,
+    NewtonConfig,
+    NoConvergenceError,
+    solve_pure_power,
+)
 from .poly import REPEATED_ROOT_TOL, MonicPolynomial, has_repeated_roots
 from .powiter import solve_by_power_iteration
 from .report import RootReport, dumps
@@ -36,7 +42,6 @@ from .tracing import BranchTrace, worst_case_branches
 CLOSED_FORM = {2: solve_quadratic, 3: solve_cubic, 4: solve_quartic}
 CLOSED_FORM_DEGREES = tuple(CLOSED_FORM)
 
-_SOLVE_CONFIG = NewtonConfig(threshold_r=1e-8, max_iters=100)
 _COINCIDENT_ROOTS = (
     f"roots coincide within {REPEATED_ROOT_TOL}; the input sits outside the"
     " guaranteed distinct-root domain"
@@ -110,11 +115,11 @@ def solve(
 
     ``method`` is "closed-form" (degrees 2-4), "pure-power" (t**d - S, every
     coefficient above a0 zero) or "power-iteration"; ``config`` defaults to
-    the command's own defaults.  Roots that coincide within
+    ``RADICAL_CONFIG``, as the command's flags do.  Roots that coincide within
     ``REPEATED_ROOT_TOL``, relative to their modulus, add a warning, since
     the input then sits outside the distinct-root domain.
     """
-    config = config or _SOLVE_CONFIG
+    config = config or RADICAL_CONFIG
     if method == "power-iteration":
         report = solve_by_power_iteration(
             poly, max_iters=config.max_iters, tol=config.threshold_r
@@ -219,12 +224,12 @@ def _measure_branches(d: int, samples: int, rng: random.Random) -> tuple[int, st
         try:
             if solver is not None:
                 coeffs = [_random_disk(rng) for _ in range(d)]
-                solver(*reversed(coeffs), _SOLVE_CONFIG, trace)
+                solver(*reversed(coeffs), trace=trace)
             else:
                 S = _random_disk(rng)
                 while S == 0:
                     S = _random_disk(rng)
-                solve_pure_power(d, S, _SOLVE_CONFIG, trace)
+                solve_pure_power(d, S, trace=trace)
         except (NoConvergenceError, ArithmeticError):
             pass
         traces.append(trace)
@@ -302,10 +307,10 @@ def build_parser() -> _Parser:
     solve.add_argument(
         "--epsilon",
         type=float,
-        default=_SOLVE_CONFIG.threshold_r,
+        default=RADICAL_CONFIG.threshold_r,
         help="root tolerance (default 1e-8)",
     )
-    solve.add_argument("--max-iters", type=int, default=_SOLVE_CONFIG.max_iters)
+    solve.add_argument("--max-iters", type=int, default=RADICAL_CONFIG.max_iters)
     solve.set_defaults(func=cmd_solve)
 
     frac = sub.add_parser("fractal", help="render an escape-time picture")

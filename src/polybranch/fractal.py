@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .newton import DEFAULT_CONFIG, DIVERGENCE_BAILOUT, NewtonConfig, sector_seed, select_seed
+from .newton import DEFAULT_CONFIG, DIVERGENCE_BAILOUT, NewtonConfig, sector_index, sector_seed
 
 _TWO_PI = 2.0 * math.pi
 
@@ -265,10 +265,10 @@ def sector_statistics(
     position = (theta + math.pi / d) / (_TWO_PI / d)
     sectors = np.floor(position).astype(np.int64) % d
     # The floor can round a cell lying on a boundary ray into the wrong
-    # sector; such cells take the sector the seed chain gives them.
+    # sector; such cells take the sector ``sector_index`` gives them.
     on_edge = mask & (np.abs(position - np.rint(position)) < 1e-9)
     for r, c in zip(*np.nonzero(on_edge)):
-        sectors[r, c] = select_seed(d, complex(S[r, c]))[1]
+        sectors[r, c] = sector_index(d, complex(S[r, c]))
     out: list[dict] = []
     for k in range(d):
         sel = mask & (sectors == k)

@@ -7,8 +7,10 @@ exactly onto the seed-1 iteration, which is why one calibrated sector -- the
 one around the positive real axis, forced by conjugation symmetry and by
 monotone convergence on that axis -- determines all the others.
 
-Choosing the sector is the only data-dependent branching in the solver: a
-chain of at most d - 1 membership tests, recorded on the trace.  Iteration
+Choosing the sector is the only data-dependent branching in the solver.
+``sector_index`` computes it once from the phase of S, so every nonzero S
+lands in exactly one sector; the trace then records the decisions of the
+chain of at most d - 1 membership tests that reaches that sector.  Iteration
 counts and convergence checks are not decisions.
 """
 
@@ -44,7 +46,9 @@ class NewtonConfig:
             raise ValueError("max_iters must be at least 1")
 
 
+# Escape-time pictures stop at 0.1; radicals and the solvers built on them at 1e-8.
 DEFAULT_CONFIG = NewtonConfig()
+RADICAL_CONFIG = NewtonConfig(threshold_r=1e-8)
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,10 @@ def newton_root(
 
     Converged means the step shrank below threshold_r while the residual
     dropped below ``residual_tolerance``; the value is then within about
-    threshold_r of a true d-th root of S.  The iteration itself is branch
-    free -- each pass through the loop is noted as computation, not decision.
+    threshold_r of a true d-th root of S.  An iterate beyond
+    ``DIVERGENCE_BAILOUT``, or one whose (d-1)-th power overflows, has
+    diverged.  The iteration itself is branch free -- each pass through the
+    loop is noted as computation, not decision.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
@@ -100,22 +106,23 @@ def newton_root(
         raise ValueError("seed at the critical point 0 of the iteration map")
     S = complex(radicand)
     tol = residual_tolerance(d, abs(S), cfg.threshold_r)
-    xp = x ** (d - 1)
-    if abs(xp * x - S) < tol:
-        return NewtonOutcome(x, 0)
-    for n in range(1, cfg.max_iters + 1):
+    step = 0j  # the seed is judged by its residual alone
+    for n in range(cfg.max_iters + 1):
+        try:
+            xp = x ** (d - 1)
+        except OverflowError:  # |x|**(d-1) is beyond the double range
+            return NewtonOutcome(x, n, "divergence")
+        if abs(step) < cfg.threshold_r and abs(xp * x - S) < tol:
+            return NewtonOutcome(x, n)
+        if x == 0 or n == cfg.max_iters:
+            break
         x_new = x - (xp * x - S) / (d * xp)
         if trace is not None:
             trace.note_computation()
         if abs(x_new) > DIVERGENCE_BAILOUT:
-            return NewtonOutcome(x_new, n, "divergence")
-        xp_new = x_new ** (d - 1)
-        if abs(x_new - x) < cfg.threshold_r and abs(xp_new * x_new - S) < tol:
-            return NewtonOutcome(x_new, n)
-        if x_new == 0:
-            return NewtonOutcome(x_new, n, "critical point")
-        x, xp = x_new, xp_new
-    return NewtonOutcome(x, cfg.max_iters, "max iterations")
+            return NewtonOutcome(x_new, n + 1, "divergence")
+        step, x = x_new - x, x_new
+    return NewtonOutcome(x, n, "critical point" if x == 0 else "max iterations")
 
 
 def sector_seed(d: int, k: int) -> complex:
@@ -126,34 +133,32 @@ def sector_seed(d: int, k: int) -> complex:
         raise ValueError("sector index out of range")
     if k == 0:
         return 1 + 0j
-    # Quarter-turn seeds come out exact (the quadratic's second seed is the
-    # literal i, not a floating approximation of it).
-    if (4 * k) % (d * d) == 0:
-        return (1 + 0j, 1j, -1 + 0j, -1j)[(4 * k) // (d * d) % 4]
+    if (d, k) == (2, 1):
+        return 1j  # exact: the quadratic's second seed is the literal i
     return cmath.exp(2j * math.pi * k / (d * d))
 
 
-def _normalized_phase(z: complex) -> float:
-    """Argument in [-pi, pi) -- the boundary pi is folded to -pi."""
-    phi = cmath.phase(z)
-    return -math.pi if phi == math.pi else phi
+def sector_index(d: int, S: complex) -> int:
+    """The sector k with arg(S) in [(2k - 1)*pi/d, (2k + 1)*pi/d), mod 2*pi.
+
+    The phase in units of pi/d, where the sector edges are the odd integers,
+    is a monotone function of arg(S), so one floor partitions the punctured
+    plane: a ray within rounding of an edge lands in one of the two sectors
+    it separates.  After the floor the arithmetic is exact.  At arg = +-pi
+    the position is exactly +-d, so both signed zeros of a negative real S
+    land in sector (d + 1) // 2.
+    """
+    if d < 2:
+        raise ValueError("degree must be at least 2")
+    if S == 0:
+        raise ValueError("zero has only the trivial root")
+    position = math.floor(cmath.phase(S) / math.pi * d)
+    return (position + 1) // 2 % d
 
 
 def in_sector(d: int, S: complex, k: int) -> bool:
-    """Membership test: arg(S * exp(-2j*pi*k/d)) in [-pi/d, pi/d).
-
-    Half-open intervals make the d sectors a partition of the punctured
-    plane, boundary rays going to the sector they open.
-    """
-    if S == 0:
-        raise ValueError("zero has only the trivial root")
-    if k == 0:
-        w = S
-    else:
-        w = S * cmath.exp(-2j * math.pi * k / d)
-    phi = _normalized_phase(w)
-    edge = math.pi / d
-    return -edge <= phi < edge
+    """Membership test: arg(S) in [(2k - 1)*pi/d, (2k + 1)*pi/d), mod 2*pi."""
+    return sector_index(d, S) == k
 
 
 def select_seed(
@@ -161,22 +166,16 @@ def select_seed(
     S: complex,
     trace: BranchTrace | None = None,
 ) -> tuple[complex, int]:
-    """Pick the Newton seed for t**d = S by walking the sector chain.
+    """Pick the Newton seed for t**d = S from its sector.
 
-    Records between 1 and d - 1 membership decisions (exactly 1 when d = 2);
-    landing in the last sector is the fall-through, costing no extra test.
+    The trace records the decisions of the membership chain over sectors
+    0, 1, ...: between 1 and d - 1 (exactly 1 when d = 2), only the last
+    True; the last sector is the chain's fall-through and costs no test.
     """
-    if d < 2:
-        raise ValueError("degree must be at least 2")
-    S = complex(S)
-    if S == 0:
-        raise ValueError("zero has only the trivial root")
-    sector = d - 1
-    for k in range(d - 1):
-        if record_decision(trace, f"seed_sector_{k}", in_sector(d, S, k)):
-            sector = k
-            break
-    return sector_seed(d, sector), sector
+    k = sector_index(d, S)
+    for j in range(min(k, d - 2) + 1):
+        record_decision(trace, f"seed_sector_{j}", j == k)
+    return sector_seed(d, k), k
 
 
 def scaled_root(
@@ -213,7 +212,7 @@ def scaled_root(
         raise ValueError("zero has only the trivial root")
     if not cmath.isfinite(S):
         raise ArithmeticError(f"t**{d} = {S!r}: the radicand is not finite")
-    cfg = config or DEFAULT_CONFIG
+    cfg = config or RADICAL_CONFIG
     floor_iters = 4 * d + 50
     if cfg.max_iters < floor_iters:
         cfg = replace(cfg, max_iters=floor_iters)

@@ -239,7 +239,16 @@ def test_arithmetic_overflow_is_a_clean_error(args):
 
 @pytest.mark.parametrize(
     "d, S",
-    [(3, "1e-310"), (5, "5e-324"), (600, "1e300"), (2, "1.7e308,1.7e308")],
+    [
+        (3, "1e-310"),
+        (5, "5e-324"),
+        (600, "1e300"),
+        (2, "1.7e308,1.7e308"),
+        # on or next to a sector boundary ray
+        (8, "-0.21747253929101606,0.09008007521805468"),
+        (32, "-241.81117191874486,23.816321669717745"),
+        (64, "-128.28103283123886,-6.302043028172362"),
+    ],
 )
 def test_pure_power_solves_across_the_double_range(d, S):
     proc = run_cli("solve", "--pure-power", "--d", str(d), f"--S={S}")

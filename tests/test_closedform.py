@@ -16,6 +16,7 @@ from polybranch import (
     evaluate,
     roots_to_poly,
     solve_cubic,
+    solve_pure_power,
     solve_quadratic,
     solve_quartic,
 )
@@ -251,6 +252,15 @@ def test_expanding_the_returned_roots_recovers_the_coefficients() -> None:
             back = roots_to_poly(roots).coeffs
             scale = max_scale(coeffs)
             assert max(abs(a - b) for a, b in zip(back, coeffs)) < 1e-3 * scale
+
+
+def test_solvers_default_to_the_tight_radius() -> None:
+    # Without a config every radical stops at threshold_r = 1e-8, as the CLI
+    # does; the escape-time radius 0.1 would stop sqrt(2) at 1.41666.
+    assert solve_quadratic(0, -2) == solve_quadratic(0, -2, TIGHT)
+    assert solve_cubic(1, 2, 3) == solve_cubic(1, 2, 3, TIGHT)
+    assert solve_quartic(1, 2, 3, 4) == solve_quartic(1, 2, 3, 4, TIGHT)
+    assert solve_pure_power(5, 1 + 2j) == solve_pure_power(5, 1 + 2j, TIGHT)
 
 
 def test_radical_failure_propagates_as_no_convergence() -> None:

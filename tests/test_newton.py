@@ -12,6 +12,7 @@ from polybranch import (
     BranchTrace,
     NewtonConfig,
     NoConvergenceError,
+    escape_times,
     newton_root,
     sector_seed,
     select_seed,
@@ -80,6 +81,17 @@ def test_divergence_bailout() -> None:
     assert out.reason == "divergence"
     assert abs(out.value) > DIVERGENCE_BAILOUT
     assert out.iterations == 1
+
+
+def test_overflowing_power_is_divergence() -> None:
+    # x**63 leaves the double range at the seed 1e5, and after the first
+    # step from 1 with S = 1e7 (to about 1.6e5, inside the bailout)
+    for S, seed, steps in ((1, 1e5, 0), (1e7, 1, 1)):
+        out = newton_root(64, S, seed)
+        assert out.reason == "divergence"
+        assert out.iterations == steps
+        # the vectorized kernel leaves the same cell unconverged
+        assert not escape_times(64, [S], seed)[1][0]
 
 
 def test_max_iterations_cap() -> None:
@@ -170,6 +182,23 @@ def test_sectors_partition_the_punctured_plane() -> None:
         memberships = [in_sector(d, S, k) for k in range(d)]
         assert sum(memberships) == 1
         assert memberships.index(True) == select_seed(d, S)[1]
+    # Rays on the boundary arg S = (2j + 1)*pi/d between sectors j and j + 1,
+    # as exactly as a double can place them: each lands in one of the two.
+    for d in range(2, 65):
+        for j in range(d):
+            for radius in (1.0, 3.5e-7, 2.25e9):
+                S = cmath.rect(radius, (2 * j + 1) * math.pi / d)
+                memberships = [in_sector(d, S, k) for k in range(d)]
+                assert sum(memberships) == 1, (d, j, radius)
+                sector = memberships.index(True)
+                assert sector == select_seed(d, S)[1]
+                assert sector in (j, (j + 1) % d), (d, j, radius, sector)
+        # arg S = +-pi, both signed zeros: one sector, the one opening at -pi
+        # for odd d and centred there for even d
+        for S in (complex(-2.0, 0.0), complex(-2.0, -0.0)):
+            memberships = [in_sector(d, S, k) for k in range(d)]
+            assert memberships == [k == (d + 1) // 2 for k in range(d)], (d, S)
+            assert select_seed(d, S)[1] == (d + 1) // 2
 
 
 def test_sector_boundaries_are_half_open() -> None:

@@ -130,6 +130,11 @@ COMMANDS: list[tuple[str, ...]] = [
     ("solve", "--coeffs=1,1e160"),
     ("solve", "--coeffs=1e308,1e200"),
     ("bound", "--degrees", "2", "--json"),
+    # right-hand sides on or next to a sector boundary ray
+    ("solve", "--pure-power", "--d", "8", "--S=-0.21747253929101606,0.09008007521805468"),
+    ("solve", "--pure-power", "--d", "32", "--S=-241.81117191874486,23.816321669717745"),
+    ("solve", "--pure-power", "--d", "64", "--S=-128.28103283123886,-6.302043028172362"),
+    ("solve", "--pure-power", "--d", "4", "--S=0.011910198427173432,0.01191019842717343"),
 ]
 
 
