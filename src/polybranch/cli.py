@@ -19,14 +19,12 @@ from __future__ import annotations
 import argparse
 import math
 import random
-import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .closedform import solve_cubic, solve_quadratic, solve_quartic
 from .complexity import max_cup_length
-from .fractal import render, sector_statistics, write_image, write_pgm
 from .newton import (
     DEFAULT_CONFIG,
     RADICAL_CONFIG,
@@ -35,7 +33,6 @@ from .newton import (
     solve_pure_power,
 )
 from .poly import REPEATED_ROOT_TOL, MonicPolynomial, has_repeated_roots
-from .powiter import solve_by_power_iteration
 from .report import RootReport, dumps
 from .tracing import BranchTrace, worst_case_branches
 
@@ -48,6 +45,17 @@ _COINCIDENT_ROOTS = (
 )
 
 _DISK_RADIUS = 10.0
+
+# fractal imports numpy, so only cmd_fractal imports it.  Its four names stay
+# readable here, through the package, because bench/spans.py wraps them as
+# attributes of this module.
+_FRACTAL_NAMES = ("render", "sector_statistics", "write_image", "write_pgm")
+
+
+def __getattr__(name: str):
+    if name in _FRACTAL_NAMES:
+        return getattr(sys.modules[__package__], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,6 +129,8 @@ def solve(
     """
     config = config or RADICAL_CONFIG
     if method == "power-iteration":
+        from .powiter import solve_by_power_iteration
+
         report = solve_by_power_iteration(
             poly, max_iters=config.max_iters, tol=config.threshold_r
         )
@@ -175,6 +185,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_fractal(args: argparse.Namespace) -> int:
+    from .fractal import render, sector_statistics, write_image, write_pgm
+
     if args.d < 2:
         raise ValueError("degree must be at least 2")
     seed = parse_complex(args.seed)
@@ -282,6 +294,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
+    import subprocess
+
     cmd = [sys.executable, "-m", "pytest", str(target), "-q", "-s"]
     return subprocess.run(cmd, check=False).returncode
 

@@ -173,8 +173,9 @@ def select_seed(
     True; the last sector is the chain's fall-through and costs no test.
     """
     k = sector_index(d, S)
-    for j in range(min(k, d - 2) + 1):
-        record_decision(trace, f"seed_sector_{j}", j == k)
+    if trace is not None:
+        for j in range(min(k, d - 2) + 1):
+            trace.record(f"seed_sector_{j}", j == k)
     return sector_seed(d, k), k
 
 

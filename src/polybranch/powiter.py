@@ -40,14 +40,6 @@ class CompanionMatrix:
     def dimension(self) -> int:
         return len(self.coeffs)
 
-    def to_array(self) -> np.ndarray:
-        d = self.dimension
-        F = np.zeros((d, d), dtype=np.complex128)
-        for i in range(1, d):
-            F[i, i - 1] = 1.0
-        F[:, d - 1] = -np.asarray(self.coeffs, dtype=np.complex128)
-        return F
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.complex128)
         if v.shape != (self.dimension,):

@@ -292,6 +292,66 @@ def test_library_solve_matches_the_command(args, poly, method):
     assert solve(poly, method).to_json() + "\n" == proc.stdout
 
 
+LAZY_NAMES = {
+    "fractal": (
+        "FractalGrid",
+        "escape_times",
+        "render",
+        "rotated_frame",
+        "sector_statistics",
+        "write_image",
+        "write_pgm",
+    ),
+    "powiter": (
+        "CompanionMatrix",
+        "PowerIterResult",
+        "ZeroEigenvalueError",
+        "companion",
+        "detect_equal_magnitude",
+        "power_iterate",
+        "solve_by_power_iteration",
+    ),
+}
+
+_NUMPY_FREE_RUN = f"""
+import contextlib, importlib, io, sys
+import polybranch
+from polybranch import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["solve", "--coeffs=1,2,3,4"]) == 0
+    assert cli.main(["solve", "--pure-power", "--d", "64", "--S=1,2"]) == 0
+    assert cli.main(["bound", "--degrees", "2,3,4,5", "--samples", "20"]) == 0
+assert "numpy" not in sys.modules, "a scalar command imported numpy"
+
+for module, names in {LAZY_NAMES!r}.items():
+    source = importlib.import_module("polybranch." + module)
+    for name in names:
+        assert getattr(polybranch, name) is getattr(source, name), name
+from polybranch import render, solve_by_power_iteration
+assert cli.render is render
+for module in (polybranch, cli):
+    try:
+        module.no_such_name
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError("an unknown name resolved")
+print("ok")
+"""
+
+
+def test_scalar_commands_never_import_numpy():
+    # fractal and powiter (the numpy modules) load on first use of one of
+    # their names; a fresh interpreter shows what the scalar commands import.
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_RUN], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [

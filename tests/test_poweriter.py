@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from polybranch import (
+    CompanionMatrix,
     MonicPolynomial,
     ZeroEigenvalueError,
     companion,
@@ -24,6 +25,16 @@ def poly_with_roots(roots) -> MonicPolynomial:
     return roots_to_poly(tuple(roots))
 
 
+def dense(F: CompanionMatrix) -> np.ndarray:
+    """The d x d array F stands for: subdiagonal ones, last column -coeffs."""
+    d = F.dimension
+    matrix = np.zeros((d, d), dtype=np.complex128)
+    for i in range(1, d):
+        matrix[i, i - 1] = 1.0
+    matrix[:, d - 1] = -np.asarray(F.coeffs, dtype=np.complex128)
+    return matrix
+
+
 def random_phase(rng: random.Random) -> complex:
     theta = rng.uniform(-math.pi, math.pi)
     return complex(math.cos(theta), math.sin(theta))
@@ -32,15 +43,15 @@ def random_phase(rng: random.Random) -> complex:
 # ----------------------------------------------------------------- companion
 
 def test_companion_layout_known_matrices() -> None:
-    F = companion(MonicPolynomial((2, -3))).to_array()  # t^2 - 3t + 2
+    F = dense(companion(MonicPolynomial((2, -3))))  # t^2 - 3t + 2
     assert np.array_equal(F, np.array([[0, -2], [1, 3]], dtype=complex))
 
-    F = companion(MonicPolynomial((0, 0, 0))).to_array()  # t^3
+    F = dense(companion(MonicPolynomial((0, 0, 0))))  # t^3
     assert F.shape == (3, 3)
     assert np.array_equal(F[:, 2], np.zeros(3, dtype=complex))
     assert F[1, 0] == 1 and F[2, 1] == 1
 
-    F = companion(MonicPolynomial((1, 0))).to_array()  # t^2 + 1: rotation matrix
+    F = dense(companion(MonicPolynomial((1, 0))))  # t^2 + 1: rotation matrix
     assert np.array_equal(F, np.array([[0, -1], [1, 0]], dtype=complex))
     eig = sorted(np.linalg.eigvals(F), key=lambda z: z.imag)
     assert abs(eig[0] + 1j) < 1e-12 and abs(eig[1] - 1j) < 1e-12
@@ -54,7 +65,7 @@ def test_companion_eigenvalues_are_the_roots() -> None:
             complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(degree)
         )
         p = MonicPolynomial(coeffs)
-        eig = np.linalg.eigvals(companion(p).to_array())
+        eig = np.linalg.eigvals(dense(companion(p)))
         oracle = durand_kerner(coeffs)
         assert multiset_max_distance(eig[None, :], oracle[None, :])[0] < 1e-8
 
@@ -66,7 +77,7 @@ def test_structured_apply_matches_dense_product() -> None:
         coeffs = tuple(rng.standard_normal(degree) + 1j * rng.standard_normal(degree))
         F = companion(MonicPolynomial(coeffs))
         v = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
-        assert np.allclose(F.apply(v), F.to_array() @ v, atol=1e-12)
+        assert np.allclose(F.apply(v), dense(F) @ v, atol=1e-12)
     with pytest.raises(ValueError):
         companion(MonicPolynomial((1, 0))).apply(np.ones(3))
 
@@ -105,9 +116,9 @@ def test_converged_result_satisfies_the_eigen_residual_bound() -> None:
         F = companion(p)
         res = power_iterate(F, tol=1e-10)
         assert res.converged
-        dense = F.to_array()
-        fro = np.linalg.norm(dense)
-        defect = np.linalg.norm(dense @ res.eigenvector - res.eigenvalue * res.eigenvector)
+        matrix = dense(F)
+        fro = np.linalg.norm(matrix)
+        defect = np.linalg.norm(matrix @ res.eigenvector - res.eigenvalue * res.eigenvector)
         assert defect <= 1e-10 * max(fro, 1.0)
         assert abs(np.linalg.norm(res.eigenvector) - 1.0) < 1e-12
 
