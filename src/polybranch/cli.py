@@ -185,7 +185,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_fractal(args: argparse.Namespace) -> int:
-    from .fractal import render, sector_statistics, write_image, write_pgm
+    from .fractal import pgm_maxval, render, sector_statistics, write_image, write_pgm
 
     if args.d < 2:
         raise ValueError("degree must be at least 2")
@@ -193,6 +193,8 @@ def cmd_fractal(args: argparse.Namespace) -> int:
     window = _parse_window(args.window)
     resolution = _parse_resolution(args.resolution)
     config = NewtonConfig(threshold_r=args.threshold, max_iters=args.max_iters)
+    if args.pgm is not None:
+        pgm_maxval(config.max_iters)  # before any work or output
     grid = render(
         args.d, seed, config, window=window, resolution=resolution
     )

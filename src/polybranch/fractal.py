@@ -9,7 +9,11 @@ faster -- and light blue for cells that never made it; an optional plain PGM
 of raw iteration counts supports diffing.
 
 Rendering is one vectorized pass of the elementwise kernel over the whole
-grid, so every cell is computed the same way wherever it lies.
+grid, so every cell is computed the same way wherever it lies.  Each step
+first screens cells by modulus: all d roots lie on the circle |t| = |S|**(1/d),
+so by the reverse triangle inequality an iterate farther than threshold_r
+(plus a rounding slack) from that circle is near no root, and only the other
+cells pay for the nearest-root distance; see ``escape_times``.
 """
 
 from __future__ import annotations
@@ -103,6 +107,14 @@ def escape_times(
     the map's critical point 0, or exhaust the cap are non-converged and
     carry the cap as their count.  S = 0 cells are converged at 0 (the only
     root is 0 and every distance test against it is degenerate).
+
+    Every root of t**d = S has modulus root_mod = |S|**(1/d), and the
+    reverse triangle inequality gives |x - root| >= ||x| - root_mod|.  So a
+    lane with ||x| - root_mod| >= threshold_r cannot converge at this step,
+    and only the lanes inside that band take the nearest-root distance.  The
+    band is widened by 1e-12 * (threshold_r + |x| + root_mod), far more than
+    the few ulps by which the rounded |x|, root and distance can differ from
+    their exact values, so the screen changes no count: it is exact.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
@@ -123,15 +135,16 @@ def escape_times(
     S_live = flat[live]
     root_mod = np.abs(S_live) ** (1.0 / d)
     theta = np.angle(S_live)
-    x = np.full(live.size, complex(seed), dtype=np.complex128)
+    seed, thr = complex(seed), cfg.threshold_r
+    x = np.full(live.size, seed, dtype=np.complex128)
 
-    def near_root_dist(xs: np.ndarray, mods: np.ndarray, ths: np.ndarray) -> np.ndarray:
+    def near_root_dist(xs: np.ndarray | complex, mods: np.ndarray, ths: np.ndarray) -> np.ndarray:
         j = np.round((d * np.angle(xs) - ths) / _TWO_PI)
         nearest = mods * np.exp(1j * (ths + _TWO_PI * j) / d)
         return np.abs(xs - nearest)
 
     # Step 0 checks the seed itself: no update, and nothing has died yet.
-    dead = np.False_
+    ax, dead = abs(seed), np.zeros(live.size, dtype=bool)
     for n in range(cfg.max_iters + 1):
         if live.size == 0:
             break
@@ -139,19 +152,21 @@ def escape_times(
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 xp = x ** (d - 1)
                 x = x - (xp * x - S_live) / (d * xp)
-            bad = ~np.isfinite(x.real) | ~np.isfinite(x.imag)
-            big = np.abs(x) > DIVERGENCE_BAILOUT
-            dead = bad | big  # critical point hit or divergence: stays at the cap
+            ax = np.abs(x)
+            # NaN and inf moduli fail <=: critical point hit or divergence.
+            dead = ~(ax <= DIVERGENCE_BAILOUT)
+        # The modulus screen of the docstring: only lanes in its band take the distance.
         with np.errstate(invalid="ignore"):
-            near = near_root_dist(x, root_mod, theta) < cfg.threshold_r
-        near &= ~dead
-        if np.any(near):
-            idx = live[near]
-            iterations[idx] = n
-            converged[idx] = True
-        drop = dead | near
-        if np.any(drop):
-            keep = ~drop
+            cand = np.flatnonzero(
+                ~dead & (np.abs(ax - root_mod) < thr + 1e-12 * (thr + ax + root_mod))
+            )
+            xs = x[cand] if n else seed  # step 0: no gather of the seed
+            hit = cand[near_root_dist(xs, root_mod[cand], theta[cand]) < thr]
+        iterations[live[hit]] = n
+        converged[live[hit]] = True
+        keep = ~dead
+        keep[hit] = False
+        if not keep.all():
             live, S_live, root_mod, theta, x = (
                 live[keep],
                 S_live[keep],
@@ -227,16 +242,31 @@ def write_image(grid: FractalGrid, path: str | os.PathLike) -> None:
     header = f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(rgb.astype(np.uint8).tobytes())
+        fh.write(rgb.tobytes())
+
+
+def pgm_maxval(max_iters: int) -> int:
+    """The PGM maxval for a grid capped at ``max_iters``; Netpbm allows 1..65535."""
+    if max_iters > 65535:
+        raise ValueError(f"a PGM holds counts up to 65535, not max_iters = {max_iters}")
+    return max(max_iters, 1)
 
 
 def write_pgm(grid: FractalGrid, path: str | os.PathLike) -> None:
-    """Write a plain PGM (P2) of raw iteration counts, maxval = max_iters."""
-    lines = [f"P2\n{grid.width} {grid.height}\n{max(grid.max_iters, 1)}"]
-    for row in grid.iterations.tolist():
-        lines.append(" ".join(map(str, row)))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write a plain PGM (P2) of raw iteration counts, maxval = max_iters.
+
+    Each count is looked up in a table of byte tokens "v " (the last column
+    "v\\n"), NUL-padded to one width; dropping the NULs leaves the text.
+    """
+    header = f"P2\n{grid.width} {grid.height}\n{pgm_maxval(grid.max_iters)}\n"
+    its = grid.iterations
+    lo = int(its.min())
+    values = range(lo, int(its.max()) + 1)
+    cells = np.array([f"{v} " for v in values], dtype=np.bytes_)[its - lo]
+    cells[:, -1] = np.array([f"{v}\n" for v in values], dtype=np.bytes_)[its[:, -1] - lo]
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(cells.tobytes().replace(b"\0", b""))
 
 
 def sector_statistics(

@@ -436,6 +436,20 @@ def test_fractal_pgm_sidecar_holds_raw_durations(tmp_path):
     assert all(0 <= n <= 37 for n in counts)
 
 
+def test_fractal_pgm_cap_beyond_the_netpbm_maxval_is_an_error(tmp_path):
+    # Netpbm requires 0 < maxval < 65536, and the PGM's maxval is the cap.
+    args = ("fractal", "--d", "3", "--resolution", "4x4", "--out", "x.ppm", "--pgm", "x.pgm")
+    proc = run_cli(*args, "--max-iters", "70000", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "65535" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+    # Without --pgm the same cap is fine, and 65535 itself still fits a PGM.
+    assert run_cli(*args[:-2], "--max-iters", "70000", cwd=tmp_path).returncode == 0
+    assert run_cli(*args, "--max-iters", "65535", cwd=tmp_path).returncode == 0
+    assert (tmp_path / "x.pgm").read_text().split()[3] == "65535"
+
+
 def test_fractal_is_deterministic_across_runs_and_worker_counts(tmp_path):
     outputs = []
     stdouts = []

@@ -134,6 +134,84 @@ def test_iteration_counts_never_exceed_the_cap() -> None:
     assert (iters[~conv] == 7).all()
 
 
+def unscreened_escape_times(d: int, S: np.ndarray, seed: complex, cfg: NewtonConfig):
+    """Reference: the kernel without the modulus screen, every live lane
+    taking the full nearest-root distance at every step."""
+    flat = np.asarray(S, dtype=np.complex128).ravel()
+    iterations = np.full(flat.size, cfg.max_iters, dtype=np.int32)
+    converged = flat == 0
+    iterations[converged] = 0
+    live = np.flatnonzero(~converged)
+    S_live = flat[live]
+    root_mod = np.abs(S_live) ** (1.0 / d)
+    theta = np.angle(S_live)
+    x = np.full(live.size, complex(seed), dtype=np.complex128)
+    dead = np.False_
+    for n in range(cfg.max_iters + 1):
+        if n > 0:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                xp = x ** (d - 1)
+                x = x - (xp * x - S_live) / (d * xp)
+            dead = ~np.isfinite(x.real) | ~np.isfinite(x.imag) | (np.abs(x) > DIVERGENCE_BAILOUT)
+        with np.errstate(invalid="ignore"):
+            j = np.round((d * np.angle(x) - theta) / (2 * math.pi))
+            nearest = root_mod * np.exp(1j * (theta + 2 * math.pi * j) / d)
+            near = (np.abs(x - nearest) < cfg.threshold_r) & ~dead
+        iterations[live[near]] = n
+        converged[live[near]] = True
+        keep = ~(dead | near)
+        live, S_live, root_mod, theta, x = (
+            live[keep], S_live[keep], root_mod[keep], theta[keep], x[keep]
+        )
+    return iterations.reshape(S.shape), converged.reshape(S.shape)
+
+
+def test_modulus_screen_keeps_every_escape_time() -> None:
+    # Windows across the double range of |S|, thresholds and caps, with
+    # off-axis seeds (some scaled to the roots' modulus, where the screen
+    # passes most lanes) and a few S = 0 cells.
+    rng = np.random.default_rng(36)
+    for t in range(48):
+        d = int(rng.integers(2, 12))
+        scale = 10.0 ** rng.uniform(-30, 30)
+        center = complex(*rng.uniform(-2, 2, 2)) * scale
+        half = scale * 10.0 ** rng.uniform(-3, 0.3)
+        re = center.real + half * rng.uniform(-1, 1, 32)
+        im = center.imag + half * rng.uniform(-1, 1, 32)
+        cells = re[np.newaxis, :] + 1j * im[:, np.newaxis]
+        if t % 6 == 0:
+            cells[::5, ::3] = 0
+        cfg = NewtonConfig(
+            threshold_r=float(10.0 ** rng.uniform(-9, 0)), max_iters=int(rng.integers(1, 121))
+        )
+        seed = complex(*rng.uniform(-1.5, 1.5, 2)) * (scale ** (1 / d) if t % 2 else 1.0)
+        iters, conv = escape_times(d, cells, seed, cfg)
+        want_iters, want_conv = unscreened_escape_times(d, cells, seed, cfg)
+        assert np.array_equal(iters, want_iters), (t, d, scale, cfg, seed)
+        assert np.array_equal(conv, want_conv), (t, d, scale, cfg, seed)
+    # Roots on the seed's own ray, threshold_r away from it to within a few
+    # hundred ulps: there the screen is tight, and without its rounding
+    # slack it drops lanes the distance test takes.
+    for t in range(40):
+        d = int(rng.integers(2, 12))
+        scale, rel = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-9, 0)
+        seed = scale * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        radii = 1 + (-1) ** t * rel * (1 + np.arange(-512, 512) * 2.0**-50)
+        cells = ((radii * seed) ** d).reshape(32, 32)
+        cfg = NewtonConfig(threshold_r=rel * scale, max_iters=1)
+        iters, conv = escape_times(d, cells, seed, cfg)
+        want_iters, want_conv = unscreened_escape_times(d, cells, seed, cfg)
+        assert np.array_equal(iters, want_iters), (t, d, scale, cfg, seed)
+        assert np.array_equal(conv, want_conv), (t, d, scale, cfg, seed)
+    # Seed 0 is the map's critical point: every nonzero cell dies at step 1.
+    cells = np.linspace(-2, 2, 32)[np.newaxis, :] + 1j * np.linspace(-2, 2, 32)[:, np.newaxis]
+    cells[3, 4] = 0
+    iters, conv = escape_times(3, cells, 0j)
+    want_iters, want_conv = unscreened_escape_times(3, cells, 0j, DEFAULTS)
+    assert np.array_equal(iters, want_iters) and np.array_equal(conv, want_conv)
+    assert conv.sum() == 1 and (iters[~conv] == DEFAULTS.max_iters).all()
+
+
 # ------------------------------------------------- rotation / sector frames
 
 def test_sector_duration_equals_the_rotated_frame_exactly() -> None:
@@ -289,6 +367,34 @@ def test_pgm_round_trip(tmp_path) -> None:
     assert (int(text[1]), int(text[2])) == (2, 2)
     assert int(text[3]) == grid.max_iters
     assert [int(v) for v in text[4:]] == [0, 3, 7, 100]
+
+
+@pytest.mark.parametrize(
+    "iterations, max_iters",
+    [
+        (np.array([[5]]), 100),  # 1 x 1
+        (np.arange(0, 12, dtype=np.int32)[np.newaxis, :], 100),  # 1 x N row
+        (np.arange(0, 9, dtype=np.int32)[:, np.newaxis], 100),  # N x 1 column
+        (np.full((3, 4), 100, dtype=np.int32), 100),  # every cell at the cap
+        (np.full((4, 3), 7, dtype=np.int32), 100),  # min = max
+        (np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int32), 1),
+        (np.array([[0, 7, 42], [999, 1000, 3]], dtype=np.int32), 1000),  # 1 to 4 digits
+    ],
+)
+def test_pgm_bytes_match_a_reference_formatter(tmp_path, iterations, max_iters) -> None:
+    grid = synthetic_grid(iterations, iterations < max_iters, max_iters=max_iters)
+    path = tmp_path / "gray.pgm"
+    write_pgm(grid, path)
+    height, width = iterations.shape
+    rows = "\n".join(" ".join(map(str, row)) for row in iterations.tolist())
+    assert path.read_bytes() == f"P2\n{width} {height}\n{max_iters}\n{rows}\n".encode("ascii")
+
+
+def test_pgm_refuses_a_cap_beyond_its_maxval(tmp_path) -> None:
+    grid = synthetic_grid(np.zeros((2, 2), dtype=np.int32), np.ones((2, 2), bool), max_iters=65536)
+    with pytest.raises(ValueError, match="65535"):
+        write_pgm(grid, tmp_path / "gray.pgm")
+    assert not (tmp_path / "gray.pgm").exists()
 
 
 # -------------------------------------------------------- sector statistics
