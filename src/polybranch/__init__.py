@@ -44,12 +44,7 @@ from .poly import (
     roots_to_poly,
 )
 from .report import RootReport
-from .tracing import (
-    BranchTrace,
-    distinct_decision_labels,
-    record_decision,
-    worst_case_branches,
-)
+from .tracing import BranchTrace, record_decision
 
 __version__ = "0.1.0"
 

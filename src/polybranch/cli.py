@@ -34,7 +34,7 @@ from .newton import (
 )
 from .poly import REPEATED_ROOT_TOL, MonicPolynomial, has_repeated_roots
 from .report import RootReport, dumps
-from .tracing import BranchTrace, worst_case_branches
+from .tracing import BranchTrace
 
 CLOSED_FORM = {2: solve_quadratic, 3: solve_cubic, 4: solve_quartic}
 CLOSED_FORM_DEGREES = tuple(CLOSED_FORM)
@@ -232,7 +232,7 @@ def _measure_branches(d: int, samples: int, rng: random.Random) -> tuple[int, st
     contribute the branches they spent before stopping.
     """
     solver = CLOSED_FORM.get(d)
-    traces: list[BranchTrace] = []
+    worst = 0
     for _ in range(samples):
         trace = BranchTrace()
         try:
@@ -246,9 +246,9 @@ def _measure_branches(d: int, samples: int, rng: random.Random) -> tuple[int, st
                 solve_pure_power(d, S, trace=trace)
         except (NoConvergenceError, ArithmeticError):
             pass
-        traces.append(trace)
+        worst = max(worst, trace.branch_count)
     suite = "pure-power" if solver is None else "closed-form"
-    return worst_case_branches(traces), suite
+    return worst, suite
 
 
 def cmd_bound(args: argparse.Namespace) -> int:

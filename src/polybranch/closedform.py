@@ -12,10 +12,10 @@ exactly the seed-selection and degenerate-case branching it performed:
   degenerate test on it (1), one more square root (1), and the two final
   square roots (2) -- at most 7.
 
-Numerical guards (a radicand that is exactly 0, an unusably small u, a
-resolvent branch whose offset collapses) are plumbing, not decision nodes:
-they re-route to algebraically equivalent values without consulting any
-quantity an adversarial input could not already force.
+Numerical guards (an unusably small u, a resolvent branch whose offset
+collapses) are plumbing, not decision nodes: they re-route to algebraically
+equivalent values without consulting any quantity an adversarial input could
+not already force.  A radicand of exactly 0 is handled by ``scaled_root``.
 """
 
 from __future__ import annotations
@@ -29,25 +29,6 @@ from .tracing import BranchTrace, record_decision
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 
 
-def _radical(
-    d: int,
-    radicand: complex,
-    config: NewtonConfig | None,
-    trace: BranchTrace | None,
-) -> complex:
-    """One data-dependent d-th root via the Newton kernel.
-
-    A radicand of exactly 0 short-circuits to the root 0; the sector-0 test
-    it would have recorded is still recorded (0 sits in sector 0's closure),
-    keeping path decision counts independent of this degeneracy.
-    """
-    radicand = complex(radicand)
-    if radicand == 0:
-        record_decision(trace, "seed_sector_0", True)
-        return 0j
-    return scaled_root(d, radicand, config, trace)
-
-
 def solve_quadratic(
     a1: complex,
     a0: complex,
@@ -56,7 +37,7 @@ def solve_quadratic(
 ) -> tuple[complex, complex]:
     """Roots of t**2 + a1 t + a0.  Exactly one decision on every path."""
     disc = a1 * a1 - 4 * a0
-    s = _radical(2, disc, config, trace)
+    s = scaled_root(2, disc, config, trace)
     return ((-a1 + s) / 2, (-a1 - s) / 2)
 
 
@@ -70,8 +51,8 @@ def solve_cubic(
     """Roots of t**3 + a2 t**2 + a1 t + a0.  At most five decisions."""
     p = a1 - a2 * a2 / 3
     q = 2 * a2 ** 3 / 27 - a2 * a1 / 3 + a0
-    root_disc = _radical(2, q * q / 4 + p ** 3 / 27, config, trace)
-    u = _radical(3, -q / 2 + root_disc, config, trace)
+    root_disc = scaled_root(2, q * q / 4 + p ** 3 / 27, config, trace)
+    u = scaled_root(3, -q / 2 + root_disc, config, trace)
     # Pair the second cube root so that u*v = -p/3 holds by construction.
     # When u is too small to divide by, p is forced small too, so an
     # independent radical for v is safe: the pairing error it could introduce
@@ -80,7 +61,7 @@ def solve_cubic(
     if abs(u) ** 3 > 1e-18 * scale:
         v = -p / (3 * u)
     else:
-        v = _radical(3, -q / 2 - root_disc, config, trace)
+        v = scaled_root(3, -q / 2 - root_disc, config, trace)
     shift = a2 / 3
     w = _OMEGA
     wc = _OMEGA.conjugate()
@@ -119,8 +100,8 @@ def solve_quartic(
         + 27 * a1 * a1
         - 72 * a2 * a0
     )
-    inner = _radical(2, delta1 * delta1 - 4 * delta0 ** 3, config, trace)
-    big_q = _radical(3, (delta1 + inner) / 2, config, trace)
+    inner = scaled_root(2, delta1 * delta1 - 4 * delta0 ** 3, config, trace)
+    big_q = scaled_root(3, (delta1 + inner) / 2, config, trace)
     shift = a3 / 4
     if record_decision(
         trace,
@@ -143,9 +124,9 @@ def solve_quartic(
         ):
             break
         big_q = big_q * _OMEGA
-    s = _radical(2, radicand, config, trace) / 2
-    u1 = _radical(2, -4 * s * s - 2 * p + q / s, config, trace)
-    u2 = _radical(2, -4 * s * s - 2 * p - q / s, config, trace)
+    s = scaled_root(2, radicand, config, trace) / 2
+    u1 = scaled_root(2, -4 * s * s - 2 * p + q / s, config, trace)
+    u2 = scaled_root(2, -4 * s * s - 2 * p - q / s, config, trace)
     return (
         -shift - s + u1 / 2,
         -shift - s - u1 / 2,

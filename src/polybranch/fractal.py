@@ -152,6 +152,7 @@ def escape_times(
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 xp = x ** (d - 1)
                 x = x - (xp * x - S_live) / (d * xp)
+                del xp
             ax = np.abs(x)
             # NaN and inf moduli fail <=: critical point hit or divergence.
             dead = ~(ax <= DIVERGENCE_BAILOUT)
@@ -290,12 +291,13 @@ def sector_statistics(
     mask = mod >= min_modulus
     if max_modulus is not None:
         mask &= mod <= max_modulus
-    theta = np.angle(S)
-    theta = np.where(theta == math.pi, -math.pi, theta)
-    position = (theta + math.pi / d) / (_TWO_PI / d)
+    # ``sector_index``'s phase in units of pi/d, shifted so that the sector
+    # edges fall on the integers: the floor is then the sector, mod d.
+    position = (np.angle(S) * (d / math.pi) + 1) / 2
     sectors = np.floor(position).astype(np.int64) % d
-    # The floor can round a cell lying on a boundary ray into the wrong
-    # sector; such cells take the sector ``sector_index`` gives them.
+    # np.angle and cmath.phase can differ by an ulp, which moves a cell on a
+    # boundary ray across it; such cells take the sector ``sector_index``
+    # gives them.
     on_edge = mask & (np.abs(position - np.rint(position)) < 1e-9)
     for r, c in zip(*np.nonzero(on_edge)):
         sectors[r, c] = sector_index(d, complex(S[r, c]))

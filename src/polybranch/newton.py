@@ -156,11 +156,6 @@ def sector_index(d: int, S: complex) -> int:
     return (position + 1) // 2 % d
 
 
-def in_sector(d: int, S: complex, k: int) -> bool:
-    """Membership test: arg(S) in [(2k - 1)*pi/d, (2k + 1)*pi/d), mod 2*pi."""
-    return sector_index(d, S) == k
-
-
 def select_seed(
     d: int,
     S: complex,
@@ -169,8 +164,10 @@ def select_seed(
     """Pick the Newton seed for t**d = S from its sector.
 
     The trace records the decisions of the membership chain over sectors
-    0, 1, ...: between 1 and d - 1 (exactly 1 when d = 2), only the last
-    True; the last sector is the chain's fall-through and costs no test.
+    0, 1, ...: for sector k < d - 1 the k + 1 tests of sectors 0..k, only
+    the last True; the last sector k = d - 1 is the chain's fall-through and
+    costs no test of its own, so its d - 1 recorded tests are all False.
+    Every path records between 1 and d - 1 decisions (exactly 1 when d = 2).
     """
     k = sector_index(d, S)
     if trace is not None:
@@ -185,7 +182,13 @@ def scaled_root(
     config: NewtonConfig | None = None,
     trace: BranchTrace | None = None,
 ) -> complex:
-    """One d-th root of S != 0: sector-seeded Newton on a range-reduced input.
+    """One d-th root of S: sector-seeded Newton on a range-reduced input.
+
+    A radicand of exactly 0 (of either sign) has the root 0, returned without
+    a Newton step.  It still records the sector-0 test that a nonzero
+    radicand on the positive real axis would (0 lies in the closure of
+    sector 0), so the decision count of a path does not depend on this
+    degeneracy.
 
     S is divided by an exact power of 2**d chosen to put the magnitude in
     (2**-(d+1), 1]; the root scales back by the matching power of 2, also
@@ -210,7 +213,8 @@ def scaled_root(
         raise ValueError("degree must be at least 2")
     S = complex(S)
     if S == 0:
-        raise ValueError("zero has only the trivial root")
+        record_decision(trace, "seed_sector_0", True)
+        return 0j
     if not cmath.isfinite(S):
         raise ArithmeticError(f"t**{d} = {S!r}: the radicand is not finite")
     cfg = config or RADICAL_CONFIG

@@ -7,8 +7,8 @@ are tallied separately as computation steps.  Tracing is optional: all
 recording helpers accept ``trace=None`` and solvers produce bit-identical
 numbers either way.
 
-This module records and summarizes traces only; the comparison of a
-measured count with the lower bound is the ``bound`` command's row.
+This module only records traces; the comparison of a measured count with
+the lower bound is the ``bound`` command's row.
 """
 
 from __future__ import annotations
@@ -49,25 +49,3 @@ def record_decision(trace: BranchTrace | None, label: str, value: bool) -> bool:
     if trace is not None:
         return trace.record(label, value)
     return bool(value)
-
-
-def worst_case_branches(traces: list[BranchTrace]) -> int:
-    """Maximum decision count over a collection of runs."""
-    if not traces:
-        raise ValueError("no traces to measure")
-    return max(t.branch_count for t in traces)
-
-
-def distinct_decision_labels(traces: list[BranchTrace]) -> int:
-    """Number of distinct decision labels seen across runs.
-
-    Reported alongside the per-run maximum: the per-run count measures the
-    depth of one computation path, this measures how many different decision
-    sites the suite exercised.
-    """
-    if not traces:
-        raise ValueError("no traces to measure")
-    seen: set[str] = set()
-    for t in traces:
-        seen.update(t.labels())
-    return len(seen)

@@ -448,12 +448,15 @@ def test_annulus_bounds_filter_cells() -> None:
     assert sum(s["cells"] for s in stats) == int(inside.sum())
 
 
-@pytest.mark.parametrize("d", [3, 6])
-def test_boundary_ray_cells_land_where_the_seed_chain_puts_them(d) -> None:
+@pytest.mark.parametrize(
+    "d, resolution", [(3, (127, 129)), (6, (127, 129)), (4, (64, 64))], ids=["3", "6", "4"]
+)
+def test_boundary_ray_cells_land_where_the_seed_chain_puts_them(d, resolution) -> None:
     # An odd grid puts cells exactly on the negative real axis (d = 3) or
-    # the negative imaginary axis (d = 6), where a plain floor of the angle
-    # picks the neighbouring sector.
-    grid = render(d, resolution=(127, 129))
+    # the negative imaginary axis (d = 6), and the 64x64 grid puts 128 on
+    # the diagonals that bound the d = 4 sectors; there a plain floor of
+    # the angle can pick the neighbouring sector.
+    grid = render(d, resolution=resolution)
     centers = grid.cell_centers()
     counted = centers[np.abs(centers) >= 0.1]
     want = [0] * d

@@ -18,7 +18,7 @@ from polybranch import (
     select_seed,
     solve_pure_power,
 )
-from polybranch.newton import DIVERGENCE_BAILOUT, in_sector, residual_tolerance, scaled_root
+from polybranch.newton import DIVERGENCE_BAILOUT, residual_tolerance, scaled_root, sector_index
 
 TIGHT = NewtonConfig(threshold_r=1e-8)
 
@@ -179,40 +179,37 @@ def test_sectors_partition_the_punctured_plane() -> None:
         S = random_complex(rng)
         if S == 0:
             continue
-        memberships = [in_sector(d, S, k) for k in range(d)]
-        assert sum(memberships) == 1
-        assert memberships.index(True) == select_seed(d, S)[1]
+        sector = sector_index(d, S)
+        assert sector in range(d)
+        assert sector == select_seed(d, S)[1]
     # Rays on the boundary arg S = (2j + 1)*pi/d between sectors j and j + 1,
     # as exactly as a double can place them: each lands in one of the two.
     for d in range(2, 65):
         for j in range(d):
             for radius in (1.0, 3.5e-7, 2.25e9):
                 S = cmath.rect(radius, (2 * j + 1) * math.pi / d)
-                memberships = [in_sector(d, S, k) for k in range(d)]
-                assert sum(memberships) == 1, (d, j, radius)
-                sector = memberships.index(True)
+                sector = sector_index(d, S)
+                assert sector in range(d), (d, j, radius)
                 assert sector == select_seed(d, S)[1]
                 assert sector in (j, (j + 1) % d), (d, j, radius, sector)
         # arg S = +-pi, both signed zeros: one sector, the one opening at -pi
         # for odd d and centred there for even d
         for S in (complex(-2.0, 0.0), complex(-2.0, -0.0)):
-            memberships = [in_sector(d, S, k) for k in range(d)]
-            assert memberships == [k == (d + 1) // 2 for k in range(d)], (d, S)
+            assert sector_index(d, S) == (d + 1) // 2, (d, S)
             assert select_seed(d, S)[1] == (d + 1) // 2
 
 
 def test_sector_boundaries_are_half_open() -> None:
     for d in (2, 3, 5):
         upper_edge = cmath.exp(1j * math.pi / d)  # arg = +pi/d
-        assert not in_sector(d, upper_edge, 0)
-        assert in_sector(d, upper_edge, 1)
+        assert sector_index(d, upper_edge) == 1
         lower_edge = cmath.exp(-1j * math.pi / d)  # arg = -pi/d
-        assert in_sector(d, lower_edge, 0)
+        assert sector_index(d, lower_edge) == 0
     # the fold at arg = pi: a negative real input for even and odd degree
     assert select_seed(2, -4)[1] == 1
     assert select_seed(3, -1)[1] in (1, 2)
     with pytest.raises(ValueError):
-        in_sector(2, 0, 0)
+        sector_index(2, 0)
 
 
 def test_seed_selection_branch_chain_length() -> None:
@@ -241,7 +238,7 @@ def test_sector_coverage_at_default_threshold() -> None:
             seed = sector_seed(d, k)
             while total < 500:
                 S = annulus_point(rng, 0.5, 2.0)
-                if not in_sector(d, S, k):
+                if sector_index(d, S) != k:
                     continue
                 total += 1
                 if newton_root(d, S, seed).converged:
@@ -300,9 +297,15 @@ def test_scaling_by_powers_of_two_preserves_decisions() -> None:
         assert a.decisions == b.decisions
 
 
-def test_scaled_root_rejects_zero() -> None:
-    with pytest.raises(ValueError):
-        scaled_root(3, 0)
+def test_scaled_root_of_zero_records_sector_0() -> None:
+    # 0 lies in the closure of sector 0: its one test is recorded, no step taken.
+    for d in (2, 3):
+        for S in (0j, -0j):
+            trace = BranchTrace()
+            value = scaled_root(d, S, TIGHT, trace)
+            assert value == 0j
+            assert [(x.label, x.value) for x in trace.decisions] == [("seed_sector_0", True)]
+            assert trace.computation_count == 0
 
 
 @pytest.mark.parametrize(

@@ -4,16 +4,7 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-from polybranch import (
-    BranchTrace,
-    distinct_decision_labels,
-    record_decision,
-    solve_cubic,
-    solve_quadratic,
-    worst_case_branches,
-)
+from polybranch import BranchTrace, record_decision, solve_cubic, solve_quadratic
 
 
 def random_complex(rng: random.Random, bound: float = 10.0) -> complex:
@@ -58,40 +49,12 @@ def test_quadratic_full_run_records_exactly_one_decision() -> None:
         assert trace.branch_count == 1
 
 
-def test_worst_case_branches_is_the_max() -> None:
-    def of_length(n: int) -> BranchTrace:
-        t = BranchTrace()
-        for k in range(n):
-            t.record(f"site_{k}", bool(k % 2))
-        return t
-
-    assert worst_case_branches([of_length(1), of_length(1), of_length(1)]) == 1
-    assert worst_case_branches([of_length(3), of_length(5), of_length(2)]) == 5
-    with pytest.raises(ValueError):
-        worst_case_branches([])
-
-
 def test_cubic_suite_stays_within_five_branches() -> None:
     rng = random.Random(7)
-    traces = []
     for _ in range(1000):
         trace = BranchTrace()
         solve_cubic(
             random_complex(rng), random_complex(rng), random_complex(rng),
             trace=trace,
         )
-        traces.append(trace)
-    assert worst_case_branches(traces) <= 5
-
-
-def test_distinct_labels_counts_sites_not_paths() -> None:
-    a = BranchTrace()
-    a.record("x", True)
-    a.record("y", False)
-    b = BranchTrace()
-    b.record("y", True)
-    b.record("z", False)
-    assert distinct_decision_labels([a, b]) == 3
-    assert worst_case_branches([a, b]) == 2
-    with pytest.raises(ValueError):
-        distinct_decision_labels([])
+        assert trace.branch_count <= 5

@@ -135,6 +135,10 @@ COMMANDS: list[tuple[str, ...]] = [
     ("solve", "--pure-power", "--d", "32", "--S=-241.81117191874486,23.816321669717745"),
     ("solve", "--pure-power", "--d", "64", "--S=-128.28103283123886,-6.302043028172362"),
     ("solve", "--pure-power", "--d", "4", "--S=0.011910198427173432,0.01191019842717343"),
+    # zero radicands inside the closed form, and grid cells on the d = 4 edge rays
+    ("solve", "--coeffs=0,0"),
+    ("solve", "--coeffs=0,0,0"),
+    ("fractal", "--d", "4", *FRACTAL_FILES, "--resolution", "64x64"),
 ]
 
 
