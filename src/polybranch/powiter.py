@@ -11,7 +11,7 @@ never settle, and are detected and flagged rather than resolved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,7 @@ _POLISH_STEPS = 3
 _WINDOW = 8
 _OSCILLATION_FLOOR = 1e-8
 _RATIO_TOL = 0.05
-# Below this norm the squares summed by np.linalg.norm leave the normal range.
+# Below this norm the squares summed by _norm's two dots leave the normal range.
 _NORM_FLOOR = 2.0 ** -511
 
 
@@ -32,9 +32,16 @@ _NORM_FLOOR = 2.0 ** -511
 class CompanionMatrix:
     """Companion matrix of a monic polynomial: subdiagonal ones, last column
     the negated low-to-high coefficients.  Stored implicitly; ``apply`` is the
-    O(d) structured product (shift + last-column combination)."""
+    O(d) structured product (shift + last-column combination).  The column
+    is built once, with the matrix, and not again per product."""
 
     coeffs: tuple[complex, ...]
+    _head: complex = field(init=False, repr=False, compare=False)
+    _tail: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_head", -self.coeffs[0] if self.coeffs else 0j)
+        object.__setattr__(self, "_tail", np.asarray(self.coeffs[1:], dtype=np.complex128))
 
     @property
     def dimension(self) -> int:
@@ -44,12 +51,17 @@ class CompanionMatrix:
         v = np.asarray(v, dtype=np.complex128)
         if v.shape != (self.dimension,):
             raise ValueError("vector length must match the dimension")
+        return self._product(v)
+
+    def _product(self, v: np.ndarray) -> np.ndarray:
+        """``apply`` without its checks: v is a complex128 vector of length d.
+
+        Entry 0 is a scalar product and entries 1.. one array product, as
+        numpy rounds the two differently."""
         out = np.empty_like(v)
         last = v[-1]
-        out[0] = -self.coeffs[0] * last
-        if self.dimension > 1:
-            out[1:] = v[:-1]
-            out[1:] -= np.asarray(self.coeffs[1:], dtype=np.complex128) * last
+        out[0] = self._head * last
+        np.subtract(v[:-1], self._tail * last, out=out[1:])
         return out
 
 
@@ -96,6 +108,14 @@ def _fit_ratio(history: tuple[float, ...] | list[float]) -> float | None:
     return float(math.exp(slope))
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector without its dispatch: the same
+    two dots over the real and imaginary parts, summed in the same order,
+    and a correctly rounded square root."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def power_iterate(
     F: CompanionMatrix,
     max_iters: int = 500,
@@ -106,11 +126,14 @@ def power_iterate(
     The per-step residual is the phase-aligned displacement
     ||b_n - exp(i phi) b_{n-1}|| (phi chosen to cancel the rotating phase of a
     complex dominant eigenvalue).  Converged requires both that displacement
-    and the eigen-residual ||F v - lambda v|| (relative to ||F||) under tol.
-    An iterate whose norm overflows ends the run early and unconverged, so
-    such a run reports fewer than ``max_iters`` iterations; one whose norm
-    underflows is rescaled by a power of two, and only an exactly zero
-    iterate raises ``ZeroEigenvalueError``.
+    and the eigen-residual ||F v - lambda v|| (relative to ||F||) under tol;
+    the eigen-residual, and the Rayleigh quotient lambda it needs, are
+    evaluated only at a step whose displacement is already under tol, and
+    lambda once more at the end.  An iterate whose norm overflows ends the
+    run early and unconverged, so such a run reports fewer than
+    ``max_iters`` iterations; one whose norm underflows is rescaled by a
+    power of two, and only an exactly zero iterate raises
+    ``ZeroEigenvalueError``.
     """
     d = F.dimension
     if d < 1:
@@ -118,15 +141,15 @@ def power_iterate(
     # ||F||_F over the d - 1 subdiagonal ones and the coefficient column.
     parts = [x for c in F.coeffs for x in (c.real, c.imag)]
     fro = math.hypot(*parts, *[1.0] * (d - 1))
+    product = F._product
     b = np.zeros(d, dtype=np.complex128)
     b[-1] = 1.0
-    w = F.apply(b)
+    w = product(b)
     history: list[float] = []
-    lam = 0j
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iters):
-            norm_w = float(np.linalg.norm(w))
+            norm_w = _norm(w)
             if not math.isfinite(norm_w):
                 break
             if norm_w < _NORM_FLOOR:
@@ -137,21 +160,22 @@ def power_iterate(
                 if peak == 0.0:
                     raise ZeroEigenvalueError()
                 w = np.ldexp(w.view(np.float64), -math.frexp(peak)[1]).view(np.complex128)
-                norm_w = float(np.linalg.norm(w))
+                norm_w = _norm(w)
             b_new = w / norm_w
             inner = complex(np.vdot(b, b_new))
             phase = inner / abs(inner) if abs(inner) > 0 else 1.0 + 0j
-            step = float(np.linalg.norm(b_new - phase * b))
-            w = F.apply(b_new)
-            lam = complex(np.vdot(b_new, w))  # b_new is unit
-            eig_res = float(np.linalg.norm(w - lam * b_new))
+            step = _norm(b_new - phase * b)
+            w = product(b_new)
             history.append(step)
             b = b_new
-            converged = step < tol and eig_res <= tol * max(fro, 1.0)
-            if converged:
-                break
+            if step < tol:
+                lam = complex(np.vdot(b, w))  # b is unit
+                converged = _norm(w - lam * b) <= tol * max(fro, 1.0)
+                if converged:
+                    break
     return PowerIterResult(
-        eigenvalue=lam,
+        # The Rayleigh quotient of the last completed step: w = F b.
+        eigenvalue=complex(np.vdot(b, w)) if history else 0j,
         eigenvector=b,
         converged=converged,
         residual_history=tuple(history),

@@ -13,6 +13,7 @@ from polybranch import (
     MonicPolynomial,
     ZeroEigenvalueError,
     companion,
+    deflate,
     detect_equal_magnitude,
     power_iterate,
     roots_to_poly,
@@ -82,7 +83,119 @@ def test_structured_apply_matches_dense_product() -> None:
         companion(MonicPolynomial((1, 0))).apply(np.ones(3))
 
 
+def reference_apply(F: CompanionMatrix, v: np.ndarray) -> np.ndarray:
+    """The structured product with the coefficient column converted on every
+    call; ``apply`` must match it byte for byte."""
+    v = np.asarray(v, dtype=np.complex128)
+    out = np.empty_like(v)
+    last = v[-1]
+    out[0] = -F.coeffs[0] * last
+    if F.dimension > 1:
+        out[1:] = v[:-1]
+        out[1:] -= np.asarray(F.coeffs[1:], dtype=np.complex128) * last
+    return out
+
+
+def test_structured_apply_keeps_the_bits_of_the_per_call_column() -> None:
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        degree = int(rng.integers(1, 9))
+        coeffs = tuple(rng.standard_normal(degree) + 1j * rng.standard_normal(degree))
+        F = companion(MonicPolynomial(coeffs))
+        v = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+        assert F.apply(v).tobytes() == reference_apply(F, v).tobytes()
+
+
 # ------------------------------------------------------------- power_iterate
+
+def reference_power_iterate(F: CompanionMatrix, max_iters: int = 500, tol: float = 1e-10):
+    """A frozen copy of the loop ``power_iterate`` must reproduce bit for bit:
+    ``np.linalg.norm`` for every norm, the per-call column product, and the
+    Rayleigh quotient and eigen-residual at every step."""
+    d = F.dimension
+    parts = [x for c in F.coeffs for x in (c.real, c.imag)]
+    fro = math.hypot(*parts, *[1.0] * (d - 1))
+    b = np.zeros(d, dtype=np.complex128)
+    b[-1] = 1.0
+    w = reference_apply(F, b)
+    history: list[float] = []
+    lam = 0j
+    converged = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iters):
+            norm_w = float(np.linalg.norm(w))
+            if not math.isfinite(norm_w):
+                break
+            if norm_w < 2.0 ** -511:
+                peak = float(np.max(np.abs(w.view(np.float64))))
+                if peak == 0.0:
+                    raise ZeroEigenvalueError()
+                w = np.ldexp(w.view(np.float64), -math.frexp(peak)[1]).view(np.complex128)
+                norm_w = float(np.linalg.norm(w))
+            b_new = w / norm_w
+            inner = complex(np.vdot(b, b_new))
+            phase = inner / abs(inner) if abs(inner) > 0 else 1.0 + 0j
+            step = float(np.linalg.norm(b_new - phase * b))
+            w = reference_apply(F, b_new)
+            lam = complex(np.vdot(b_new, w))
+            eig_res = float(np.linalg.norm(w - lam * b_new))
+            history.append(step)
+            b = b_new
+            converged = step < tol and eig_res <= tol * max(fro, 1.0)
+            if converged:
+                break
+    return lam, b, converged, tuple(history)
+
+
+def bits(eigenvalue: complex, eigenvector: np.ndarray, converged: bool, history) -> tuple:
+    """A run's outcome with every float spelled exactly, signed zeros included."""
+    return (
+        (eigenvalue.real.hex(), eigenvalue.imag.hex()),
+        eigenvector.tobytes(),
+        converged,
+        tuple(r.hex() for r in history),
+    )
+
+
+def assert_same_bits(F: CompanionMatrix, **kwargs) -> complex:
+    res = power_iterate(F, **kwargs)
+    got = bits(res.eigenvalue, res.eigenvector, res.converged, res.residual_history)
+    assert got == bits(*reference_power_iterate(F, **kwargs))
+    return res.eigenvalue
+
+
+def bench_shaped_roots(rng: random.Random, i: int) -> list[complex]:
+    """Degree 2-8, moduli falling by a factor in [0.35, 0.75] per root, and
+    a dominant pair of equal modulus for one input in 16."""
+    degree = 2 + i % 7
+    moduli = [rng.uniform(0.5, 2.0)]
+    for _ in range(degree - 1):
+        moduli.append(moduli[-1] * rng.uniform(0.35, 0.75))
+    roots = [m * random_phase(rng) for m in moduli]
+    if i % 16 == 0:
+        roots[1] = -roots[0]
+    return roots
+
+
+def test_power_iterate_keeps_the_bits_of_the_reference_loop() -> None:
+    rng = random.Random(28)
+    for i in range(200):
+        current = poly_with_roots(bench_shaped_roots(rng, i))
+        # every stage: the input's companion, then each deflated one
+        while current.degree >= 2:
+            eigenvalue = assert_same_bits(companion(current))
+            current = deflate(current, eigenvalue)[0]
+
+
+def test_power_iterate_keeps_the_bits_of_the_reference_loop_at_the_edges() -> None:
+    assert_same_bits(companion(MonicPolynomial((1e-300, 0))))  # underflow rescale
+    assert_same_bits(companion(MonicPolynomial((1e200, 0))))  # overflow break
+    for max_iters in (0, 1):
+        assert_same_bits(companion(MonicPolynomial((2, -3))), max_iters=max_iters)
+    for run in (power_iterate, reference_power_iterate):
+        with pytest.raises(ZeroEigenvalueError):
+            run(companion(MonicPolynomial((0, 0))))
+
 
 def test_dominant_eigenvalue_of_a_factorable_quadratic() -> None:
     res = power_iterate(companion(MonicPolynomial((2, -3))))  # roots {2, 1}

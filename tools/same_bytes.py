@@ -139,6 +139,15 @@ COMMANDS: list[tuple[str, ...]] = [
     ("solve", "--coeffs=0,0"),
     ("solve", "--coeffs=0,0,0"),
     ("fractal", "--d", "4", *FRACTAL_FILES, "--resolution", "64x64"),
+    # power iteration: a degree-8 ladder (moduli 1.9 * 0.6^k), a modulus tie
+    # at the second stage (roots 3, +-1.2i, 0.5, 0.2), and the tiny pair
+    # 2^-519, 2^-521 whose first stage stops after one step
+    ("solve", "--method", "power-iteration",
+     "--coeffs=2.76319e-07,0.000104295;-0.000906394,0.00107946;-0.00415921,-0.0125882;"
+     "-0.0946602,0.0542684;-0.429007,0.0113726;0.660461,-0.854154;-1.1588,-0.58515;"
+     "-0.627825,-1.21291"),
+    ("solve", "--method", "power-iteration", "--coeffs=-0.432,3.168,-5.628,3.64,-3.7"),
+    ("solve", "--method", "power-iteration", "--coeffs=8.487983164e-314,-7.283535870312702e-157"),
 ]
 
 
