@@ -20,8 +20,9 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
-from .tracing import BranchTrace, record_decision
+from .tracing import BranchTrace, Decision, record_decision
 
 _EPS = sys.float_info.epsilon
 # An iterate beyond this modulus has diverged; every Newton routine stops it.
@@ -95,34 +96,45 @@ def newton_root(
     dropped below ``residual_tolerance``; the value is then within about
     threshold_r of a true d-th root of S.  An iterate beyond
     ``DIVERGENCE_BAILOUT``, or one whose (d-1)-th power overflows, has
-    diverged.  The iteration itself is branch free -- each pass through the
-    loop is noted as computation, not decision.
+    diverged; one whose (d-1)-th power is 0 (the iterate is 0, or the power
+    underflowed) has no finite step and stops at a critical point.  The
+    iteration itself is branch free -- each update is noted as computation,
+    not decision, all at once when the run stops, so the trace's count grows
+    by exactly the returned ``iterations``.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
     cfg = config or DEFAULT_CONFIG
+    threshold_r, max_iters = cfg.threshold_r, cfg.max_iters
     x = complex(seed)
     if x == 0:
         raise ValueError("seed at the critical point 0 of the iteration map")
     S = complex(radicand)
-    tol = residual_tolerance(d, abs(S), cfg.threshold_r)
+    tol = residual_tolerance(d, abs(S), threshold_r)
     step = 0j  # the seed is judged by its residual alone
-    for n in range(cfg.max_iters + 1):
+    for n in range(max_iters + 1):
         try:
             xp = x ** (d - 1)
         except OverflowError:  # |x|**(d-1) is beyond the double range
-            return NewtonOutcome(x, n, "divergence")
-        if abs(step) < cfg.threshold_r and abs(xp * x - S) < tol:
-            return NewtonOutcome(x, n)
-        if x == 0 or n == cfg.max_iters:
+            out = NewtonOutcome(x, n, "divergence")
             break
-        x_new = x - (xp * x - S) / (d * xp)
-        if trace is not None:
-            trace.note_computation()
+        residual = xp * x - S
+        if abs(step) < threshold_r and abs(residual) < tol:
+            out = NewtonOutcome(x, n)
+            break
+        if n == max_iters or xp == 0:  # xp == 0: x is 0 or x**(d-1) underflowed
+            out = NewtonOutcome(
+                x, n, "max iterations" if n == max_iters and x != 0 else "critical point"
+            )
+            break
+        x_new = x - residual / (d * xp)
         if abs(x_new) > DIVERGENCE_BAILOUT:
-            return NewtonOutcome(x_new, n + 1, "divergence")
+            out = NewtonOutcome(x_new, n + 1, "divergence")
+            break
         step, x = x_new - x, x_new
-    return NewtonOutcome(x, n, "critical point" if x == 0 else "max iterations")
+    if trace is not None:
+        trace.note_computation(out.iterations)  # one step per update taken
+    return out
 
 
 def sector_seed(d: int, k: int) -> complex:
@@ -156,6 +168,16 @@ def sector_index(d: int, S: complex) -> int:
     return (position + 1) // 2 % d
 
 
+@lru_cache(maxsize=16)
+def _sector_tests(d: int) -> tuple[tuple[Decision, ...], tuple[Decision, ...]]:
+    """The False and the True node of each of degree d's d - 1 sector tests."""
+    labels = [f"seed_sector_{j}" for j in range(d - 1)]
+    return (
+        tuple(Decision(label, False) for label in labels),
+        tuple(Decision(label, True) for label in labels),
+    )
+
+
 def select_seed(
     d: int,
     S: complex,
@@ -168,11 +190,15 @@ def select_seed(
     the last True; the last sector k = d - 1 is the chain's fall-through and
     costs no test of its own, so its d - 1 recorded tests are all False.
     Every path records between 1 and d - 1 decisions (exactly 1 when d = 2).
+
+    The nodes come from a table built once per degree (its d - 1 False and
+    d - 1 True nodes, a bounded number of degrees kept); ``Decision`` is
+    immutable, so every trace shares them.
     """
     k = sector_index(d, S)
     if trace is not None:
-        for j in range(min(k, d - 2) + 1):
-            trace.record(f"seed_sector_{j}", j == k)
+        misses, hits = _sector_tests(d)
+        trace.decisions += misses[:k] + hits[k : k + 1]  # no hit for k = d - 1
     return sector_seed(d, k), k
 
 
@@ -241,6 +267,12 @@ def scaled_root(
     return out.value * math.ldexp(1.0, m)
 
 
+@lru_cache(maxsize=16)
+def _unit_roots(d: int) -> tuple[complex, ...]:
+    """exp(2j*pi*j/d) for j = 1, ..., d - 1."""
+    return tuple(cmath.exp(2j * math.pi * j / d) for j in range(1, d))
+
+
 def solve_pure_power(
     d: int,
     S: complex,
@@ -251,7 +283,9 @@ def solve_pure_power(
 
     One branch tests S = 0 (all roots collapse to 0); otherwise the sector
     chain spends at most d - 1 more picking the seed, a single Newton run
-    finds one root, and the rest are its exact rotations.
+    finds one root, and the rest are its exact rotations: the principal
+    root times the unit roots exp(2j*pi*j/d), j = 1..d-1, which are built
+    once per degree (a bounded number of degrees kept) and shared.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
@@ -259,7 +293,4 @@ def solve_pure_power(
     if record_decision(trace, "radicand_zero", S == 0):
         return (0j,) * d
     principal = scaled_root(d, S, config, trace)
-    return tuple(
-        principal if j == 0 else principal * cmath.exp(2j * math.pi * j / d)
-        for j in range(d)
-    )
+    return (principal, *(principal * w for w in _unit_roots(d)))

@@ -18,7 +18,16 @@ from polybranch import (
     select_seed,
     solve_pure_power,
 )
-from polybranch.newton import DIVERGENCE_BAILOUT, residual_tolerance, scaled_root, sector_index
+from polybranch import newton
+from polybranch.newton import (
+    DIVERGENCE_BAILOUT,
+    RADICAL_CONFIG,
+    NewtonOutcome,
+    residual_tolerance,
+    scaled_root,
+    sector_index,
+)
+from polybranch.tracing import record_decision
 
 TIGHT = NewtonConfig(threshold_r=1e-8)
 
@@ -64,6 +73,23 @@ def test_cube_root_of_eight_matches_scalar_recurrence() -> None:
     for _ in range(out.iterations):
         x = x - (x ** 3 - 8) / (3 * x ** 2)
     assert x == out.value
+
+
+def test_underflowed_power_is_a_critical_point_not_a_division_by_zero() -> None:
+    # x**(d-1) underflows to 0 at a nonzero seed: no finite step exists
+    for d, S, seed in ((64, 1, 1e-6), (3, 1, 1e-200)):
+        trace = BranchTrace()
+        out = newton_root(d, S, seed, trace=trace)
+        assert out == NewtonOutcome(complex(seed), 0, "critical point")
+        assert trace.computation_count == 0
+    # the same after one step: from 1 + 1e-8 with S = -63 the iterate lands
+    # near 6.3e-7, whose 63rd power underflows; at the step cap it stays a cap
+    trace = BranchTrace()
+    out = newton_root(64, -63, 1 + 1e-8, trace=trace)
+    assert (out.iterations, out.reason, trace.computation_count) == (1, "critical point", 1)
+    assert 0 < abs(out.value) < 1e-6
+    capped = newton_root(64, -63, 1 + 1e-8, NewtonConfig(max_iters=1))
+    assert capped == NewtonOutcome(out.value, 1, "max iterations")
 
 
 def test_critical_point_is_reported_not_raised() -> None:
@@ -212,21 +238,51 @@ def test_sector_boundaries_are_half_open() -> None:
         sector_index(2, 0)
 
 
+def chain(trace: BranchTrace) -> list[tuple[str, bool]]:
+    return [(x.label, x.value) for x in trace.decisions]
+
+
 def test_seed_selection_branch_chain_length() -> None:
     rng = random.Random(56)
+    inputs = []
     for _ in range(300):
-        d = rng.randint(2, 9)
-        S = random_complex(rng)
+        inputs.append((rng.randint(2, 9), random_complex(rng)))
+    for d in (16, 64):
+        inputs += [(d, random_complex(rng)) for _ in range(100)]
+        inputs += [(d, cmath.rect(2.0, 2 * math.pi * k / d)) for k in range(d)]  # centres
+        # exact boundary rays between every pair of neighbouring sectors
+        inputs += [(d, cmath.rect(1.5, (2 * j + 1) * math.pi / d)) for j in range(d)]
+        inputs += [(d, cmath.rect(0.5, -math.pi / d)), (d, complex(-2.0, -0.0))]
+    sectors = set()
+    for d, S in inputs:
         if S == 0:
             continue
         trace = BranchTrace()
         _, sector = select_seed(d, S, trace)
+        sectors.add((d, sector))
         expected = min(sector + 1, d - 1)
         assert trace.branch_count == expected
-        assert trace.labels() == [f"seed_sector_{k}" for k in range(expected)]
+        # only the last test is True; the fall-through sector d - 1 has none
+        assert chain(trace) == [(f"seed_sector_{j}", j == sector) for j in range(expected)]
         # for the quadratic the chain is always exactly one decision
         if d == 2:
             assert trace.branch_count == 1
+    # every sector of the large degrees, the fall-through included, was hit
+    assert {(d, k) for d in (16, 64) for k in range(d)} <= sectors
+
+
+def test_seed_chain_shares_no_mutable_state_between_traces() -> None:
+    for d, S in ((2, 1 + 0j), (16, complex(-1, 0.1)), (64, cmath.rect(1, -0.05))):
+        first = BranchTrace()
+        select_seed(d, S, first)
+        expected = chain(first)
+        first.decisions.append(first.decisions[-1])
+        first.decisions[0] = first.decisions[-1]
+        first.record("radicand_zero", True)
+        second = BranchTrace()
+        select_seed(d, S, second)
+        assert chain(second) == expected
+        assert second.decisions is not first.decisions
 
 
 def test_sector_coverage_at_default_threshold() -> None:
@@ -376,3 +432,128 @@ def test_pure_power_failure_carries_the_outcome() -> None:
         solve_pure_power(2, 2, NewtonConfig(threshold_r=5e-324))
     assert info.value.outcome.converged is False
     assert info.value.outcome.reason == "max iterations"
+
+
+# ------------------------------------------------- bits of the reference path
+
+def reference_select_seed(d, S, trace=None):
+    """The per-call seed chain: one new node per test, labelled on the spot."""
+    k = sector_index(d, S)
+    if trace is not None:
+        for j in range(min(k, d - 2) + 1):
+            trace.record(f"seed_sector_{j}", j == k)
+    return sector_seed(d, k), k
+
+
+def reference_newton_root(d, radicand, seed, config=None, trace=None):
+    """The per-step loop: a computation noted per update, the residual twice."""
+    cfg = config or newton.DEFAULT_CONFIG
+    x = complex(seed)
+    S = complex(radicand)
+    tol = residual_tolerance(d, abs(S), cfg.threshold_r)
+    step = 0j
+    for n in range(cfg.max_iters + 1):
+        try:
+            xp = x ** (d - 1)
+        except OverflowError:
+            return NewtonOutcome(x, n, "divergence")
+        if abs(step) < cfg.threshold_r and abs(xp * x - S) < tol:
+            return NewtonOutcome(x, n)
+        if x == 0 or n == cfg.max_iters:
+            break
+        x_new = x - (xp * x - S) / (d * xp)  # ZeroDivisionError when xp underflows
+        if trace is not None:
+            trace.note_computation()
+        if abs(x_new) > DIVERGENCE_BAILOUT:
+            return NewtonOutcome(x_new, n + 1, "divergence")
+        step, x = x_new - x, x_new
+    return NewtonOutcome(x, n, "critical point" if x == 0 else "max iterations")
+
+
+def reference_solve_pure_power(d, S, config=None, trace=None):
+    """The zero test, ``scaled_root`` and a rotation that calls exp per root.
+
+    Run it with ``newton.select_seed`` and ``newton.newton_root`` patched to
+    the references above, which ``scaled_root`` then calls.
+    """
+    S = complex(S)
+    if record_decision(trace, "radicand_zero", S == 0):
+        return (0j,) * d
+    principal = scaled_root(d, S, config, trace)
+    return tuple(
+        principal if j == 0 else principal * cmath.exp(2j * math.pi * j / d)
+        for j in range(d)
+    )
+
+
+def bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def traced(fn, *args):
+    """Run ``fn(*args, trace)`` and return its result with the trace's record."""
+    trace = BranchTrace()
+    result = fn(*args, trace)
+    return result, chain(trace), trace.computation_count
+
+
+def pure_power_inputs(d: int, rng: random.Random) -> list[complex]:
+    count = 4 if d == 1023 else 40
+    values = [annulus_point(rng, 0.05, 20.0) for _ in range(count)]
+    values += [cmath.rect(1.5, (2 * j + 1) * math.pi / d) for j in (0, d // 2, d - 1)]
+    values += [cmath.rect(0.9, -2 * math.pi / d), complex(-3.0, -0.0), 0j]  # fall-through, pi, 0
+    if d == 1023:  # |S| in [1, 2) is out of range at d = 1023: use 2 |S|
+        values = [2 * S if 1 <= abs(S) < 2 else S for S in values]
+    return values
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16, 64, 1023])
+def test_pure_power_keeps_the_bits_of_the_reference_path(d, monkeypatch) -> None:
+    rng = random.Random(1300 + d)
+    inputs = pure_power_inputs(d, rng)
+    change = [traced(solve_pure_power, d, S, TIGHT) for S in inputs]
+    with monkeypatch.context() as patch:
+        patch.setattr(newton, "select_seed", reference_select_seed)
+        patch.setattr(newton, "newton_root", reference_newton_root)
+        parent = [traced(reference_solve_pure_power, d, S, TIGHT) for S in inputs]
+    for S, (roots, decisions, steps), (ref_roots, ref_decisions, ref_steps) in zip(
+        inputs, change, parent
+    ):
+        assert [bits(r) for r in roots] == [bits(r) for r in ref_roots], S
+        assert decisions == ref_decisions, S
+        assert steps == ref_steps, S
+    # The kernel alone, from each input's own seed, on the radical default.
+    # Unscaled |S| > 1 at d = 1023 would overshoot to an iterate whose power
+    # underflows: the exit the reference loop divides by zero at (below).
+    for S in inputs:
+        if S == 0 or (d == 1023 and abs(S) > 1):
+            continue
+        seed, _ = select_seed(d, S)
+        out, _, steps = traced(newton_root, d, S, seed, RADICAL_CONFIG)
+        ref, _, ref_steps = traced(reference_newton_root, d, S, seed, RADICAL_CONFIG)
+        assert (bits(out.value), out.iterations, out.reason, steps) == (
+            bits(ref.value), ref.iterations, ref.reason, ref_steps
+        ), S
+
+
+@pytest.mark.parametrize(
+    "d, S, seed, config",
+    [
+        (2, 9, 1, NewtonConfig(threshold_r=1e-12, max_iters=1)),  # step cap
+        (5, 3 + 4j, 1, NewtonConfig(threshold_r=1e-12, max_iters=1)),
+        (2, 100, 1e-7, None),  # first step beyond the bailout
+        (64, 1, 1e5, None),  # the power overflows at the seed
+        (64, 1e7, 1, None),  # ... and after one step
+        (2, -1, 1, None),  # the first step lands on 0
+        (64, -63, 1 + 1e-8, NewtonConfig(max_iters=1)),  # underflow at the cap
+    ],
+)
+def test_newton_root_failure_exits_keep_the_bits_of_the_reference_loop(
+    d, S, seed, config
+) -> None:
+    out, _, steps = traced(newton_root, d, S, seed, config)
+    ref, _, ref_steps = traced(reference_newton_root, d, S, seed, config)
+    assert not out.converged
+    assert (bits(out.value), out.iterations, out.reason, steps) == (
+        bits(ref.value), ref.iterations, ref.reason, ref_steps
+    )

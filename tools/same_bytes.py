@@ -148,6 +148,11 @@ COMMANDS: list[tuple[str, ...]] = [
      "-0.627825,-1.21291"),
     ("solve", "--method", "power-iteration", "--coeffs=-0.432,3.168,-5.628,3.64,-3.7"),
     ("solve", "--method", "power-iteration", "--coeffs=8.487983164e-314,-7.283535870312702e-157"),
+    # the sector chain's fall-through (all tests False) at d = 16 and d = 64,
+    # and a bound table over both degrees
+    ("solve", "--pure-power", "--d", "16", "--S=0.9238795325112867,-0.3826834323650898"),
+    ("solve", "--pure-power", "--d", "64", "--S=1.9903694533443936,-0.19603428065912118"),
+    ("bound", "--degrees", "16,64", "--samples", "200", "--rng-seed", "5"),
 ]
 
 
