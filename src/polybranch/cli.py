@@ -25,19 +25,12 @@ from pathlib import Path
 
 from .closedform import solve_cubic, solve_quadratic, solve_quartic
 from .complexity import max_cup_length
-from .newton import (
-    DEFAULT_CONFIG,
-    RADICAL_CONFIG,
-    NewtonConfig,
-    NoConvergenceError,
-    solve_pure_power,
-)
+from .newton import DEFAULT_CONFIG, RADICAL_CONFIG, NewtonConfig, solve_pure_power
 from .poly import REPEATED_ROOT_TOL, MonicPolynomial, has_repeated_roots
 from .report import RootReport, dumps
 from .tracing import BranchTrace
 
 CLOSED_FORM = {2: solve_quadratic, 3: solve_cubic, 4: solve_quartic}
-CLOSED_FORM_DEGREES = tuple(CLOSED_FORM)
 
 _COINCIDENT_ROOTS = (
     f"roots coincide within {REPEATED_ROOT_TOL}; the input sits outside the"
@@ -146,7 +139,7 @@ def solve(
             solver = CLOSED_FORM.get(poly.degree)
             if solver is None:
                 raise ValueError(
-                    f"closed-form handles degrees {CLOSED_FORM_DEGREES},"
+                    f"closed-form handles degrees {tuple(CLOSED_FORM)},"
                     f" got {poly.degree}"
                 )
             roots = solver(*reversed(poly.coeffs), config, trace)
@@ -202,7 +195,6 @@ def cmd_fractal(args: argparse.Namespace) -> int:
     if args.pgm is not None:
         write_pgm(grid, args.pgm)
     payload = {
-        "schema": 1,
         "d": args.d,
         "seed": [seed.real, seed.imag],
         "threshold_r": args.threshold,
@@ -240,11 +232,8 @@ def _measure_branches(d: int, samples: int, rng: random.Random) -> tuple[int, st
                 coeffs = [_random_disk(rng) for _ in range(d)]
                 solver(*reversed(coeffs), trace=trace)
             else:
-                S = _random_disk(rng)
-                while S == 0:
-                    S = _random_disk(rng)
-                solve_pure_power(d, S, trace=trace)
-        except (NoConvergenceError, ArithmeticError):
+                solve_pure_power(d, _random_disk(rng), trace=trace)
+        except ArithmeticError:  # NoConvergenceError, or a radicand out of range
             pass
         worst = max(worst, trace.branch_count)
     suite = "pure-power" if solver is None else "closed-form"
@@ -277,7 +266,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 "samples": args.samples,
             }
         )
-    print(dumps({"schema": 1, "rng_seed": args.rng_seed, "rows": rows}))
+    print(dumps({"rng_seed": args.rng_seed, "rows": rows}))
     return 0
 
 
@@ -373,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NoConvergenceError, ArithmeticError, ValueError, OSError) as exc:
+    except (ArithmeticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

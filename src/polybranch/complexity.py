@@ -14,18 +14,13 @@ from dataclasses import dataclass
 
 
 def _cbrt(x: float) -> float:
-    """Real cube root with exact integer cubes snapped (pow alone drifts)."""
-    if x == 0.0:
-        return 0.0
-    mag = abs(x)
-    c = mag ** (1.0 / 3.0)
+    """Cube root of x >= 1 with exact integer cubes snapped (pow alone drifts)."""
+    c = x ** (1.0 / 3.0)
     # two Newton polish steps keep the result within an ulp
-    c = (2.0 * c + mag / (c * c)) / 3.0
-    c = (2.0 * c + mag / (c * c)) / 3.0
+    c = (2.0 * c + x / (c * c)) / 3.0
+    c = (2.0 * c + x / (c * c)) / 3.0
     n = round(c)
-    if n * n * n == mag:
-        c = float(n)
-    return c if x > 0 else -c
+    return float(n) if n * n * n == x else c
 
 
 def smale_bound(degree: int) -> float:

@@ -209,10 +209,8 @@ def render(
         raise ValueError("window must have positive extent")
     S = _cell_centers(window, width, height)
     if sector is not None:
-        if not 0 <= sector < d:
-            raise ValueError("sector index out of range")
-        S_work = np.asarray(rotated_frame(d, S, sector))
-        seed_used = sector_seed(d, sector)
+        seed_used = sector_seed(d, sector)  # raises on a sector out of range
+        S_work = rotated_frame(d, S, sector)
         seed_work = 1 + 0j
     else:
         S_work = S

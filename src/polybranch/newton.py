@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .tracing import BranchTrace, Decision, record_decision
@@ -65,7 +65,7 @@ class NewtonOutcome:
         return self.reason is None
 
 
-class NoConvergenceError(RuntimeError):
+class NoConvergenceError(ArithmeticError):
     """Raised when a solver needed a radical that failed to converge."""
 
     def __init__(self, outcome: NewtonOutcome, what: str = "newton iteration"):
@@ -143,8 +143,6 @@ def sector_seed(d: int, k: int) -> complex:
         raise ValueError("degree must be at least 2")
     if not 0 <= k < d:
         raise ValueError("sector index out of range")
-    if k == 0:
-        return 1 + 0j
     if (d, k) == (2, 1):
         return 1j  # exact: the quadratic's second seed is the literal i
     return cmath.exp(2j * math.pi * k / (d * d))
@@ -246,7 +244,7 @@ def scaled_root(
     cfg = config or RADICAL_CONFIG
     floor_iters = 4 * d + 50
     if cfg.max_iters < floor_iters:
-        cfg = replace(cfg, max_iters=floor_iters)
+        cfg = NewtonConfig(cfg.threshold_r, floor_iters)
     try:
         exponent = math.frexp(abs(S))[1]  # |S| in [2**(e-1), 2**e)
     except OverflowError:  # |S| beyond the double maximum: measure S/2, exactly

@@ -196,8 +196,8 @@ def detect_equal_magnitude(residual_history: tuple[float, ...] | list[float]) ->
         return False
     if min(tail) <= _OSCILLATION_FLOOR:
         return False
-    ratio = _fit_ratio(tail)
-    return ratio is not None and ratio >= 1.0 - _RATIO_TOL
+    # All 8 entries exceed 1e-8, so the fit always has the 4 points it needs.
+    return _fit_ratio(tail) >= 1.0 - _RATIO_TOL
 
 
 def _polish(p: MonicPolynomial, z: complex) -> complex:
@@ -227,14 +227,7 @@ def solve_by_power_iteration(
     iters: list[int] = []
     warnings: list[str] = []
     current = p
-    while True:
-        remaining = degree - len(roots)
-        if remaining == 0:
-            break
-        if remaining == 1:
-            roots.append(-current.coeffs[0])
-            iters.append(0)
-            break
+    for remaining in range(degree, 1, -1):
         try:
             res = power_iterate(companion(current), max_iters=max_iters, tol=tol)
         except ZeroEigenvalueError:
@@ -262,6 +255,9 @@ def solve_by_power_iteration(
         roots.append(z)
         iters.append(res.iterations)
         current = deflate(current, z)[0]
+    else:  # current is now t + a0: its root is exact
+        roots.append(-current.coeffs[0])
+        iters.append(0)
     return RootReport.answering(
         p,
         roots=tuple(roots),

@@ -9,8 +9,9 @@ from .poly import MonicPolynomial, residual
 
 
 def dumps(payload: dict) -> str:
-    """Strict JSON: sorted keys, indent 2; a non-finite number raises ValueError."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    """Strict JSON with the "schema": 1 marker: sorted keys, indent 2; a
+    non-finite number raises ValueError."""
+    return json.dumps({"schema": 1, **payload}, sort_keys=True, indent=2, allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -49,17 +50,15 @@ class RootReport:
     def degree(self) -> int:
         return len(self.roots)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "degree": self.degree,
-            "method": self.method,
-            "roots": [[z.real, z.imag] for z in self.roots],
-            "residuals": list(self.residuals),
-            "branch_count": self.branch_count,
-            "per_root_iterations": list(self.per_root_iterations),
-            "warnings": list(self.warnings),
-        }
-
     def to_json(self) -> str:
-        return dumps(self.to_json_dict())
+        return dumps(
+            {
+                "degree": self.degree,
+                "method": self.method,
+                "roots": [[z.real, z.imag] for z in self.roots],
+                "residuals": list(self.residuals),
+                "branch_count": self.branch_count,
+                "per_root_iterations": list(self.per_root_iterations),
+                "warnings": list(self.warnings),
+            }
+        )

@@ -25,7 +25,7 @@ import pytest
 
 import polybranch
 from polybranch import MonicPolynomial
-from polybranch.cli import parse_coeffs, solve
+from polybranch.cli import main, parse_coeffs, solve
 
 # The directory that holds the imported package.  Children get it as an
 # absolute PYTHONPATH entry, so they import the same code whatever their cwd.
@@ -192,6 +192,43 @@ def test_usage_errors_exit_one():
     assert run_cli("solve").returncode == 1
     assert run_cli("bound", "--degrees", "2", "--epsilon", "1e-4").returncode == 1
     assert run_cli("bound", "--degrees", "2", "--json").returncode == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--pure-power", "--d", "3"),
+        ("solve", "--pure-power", "--d", "3", "--S=2", "--coeffs=-2,0,0"),
+        ("solve", "--pure-power"),
+        ("solve", "--coeffs=1,2,3;"),
+        ("solve", "--coeffs=;"),
+        ("fractal", "--d", "1", "--out", "o.ppm"),
+        ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "512"),
+        ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "0x5"),
+        ("fractal", "--d", "3", "--out", "o.ppm", "--window", "1,2,3"),
+        ("bound", "--degrees", "1"),
+        ("bound", "--degrees", "2", "--samples", "0"),
+    ],
+)
+def test_input_errors_through_main_are_one_line(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "poly, method, message",
+    [
+        (MonicPolynomial((1, 2)), "nope", "unknown method 'nope'"),
+        (MonicPolynomial((-8, 1, 0)), "pure-power", "every coefficient above a0"),
+    ],
+)
+def test_library_solve_rejects_a_method_it_cannot_apply(poly, method, message):
+    with pytest.raises(ValueError, match=message):
+        solve(poly, method)
 
 
 @pytest.mark.parametrize(

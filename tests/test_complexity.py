@@ -29,6 +29,28 @@ def dp_max_pairs(budget: int) -> int:
     return best[budget]
 
 
+def reference_cbrt(x: float) -> float:
+    """A frozen copy of the cube root ``smale_bound`` used when it still took
+    any real x: a zero branch and sign handling."""
+    if x == 0.0:
+        return 0.0
+    mag = abs(x)
+    c = mag ** (1.0 / 3.0)
+    c = (2.0 * c + mag / (c * c)) / 3.0
+    c = (2.0 * c + mag / (c * c)) / 3.0
+    n = round(c)
+    if n * n * n == mag:
+        c = float(n)
+    return c if x > 0 else -c
+
+
+def test_smale_bound_keeps_the_bits_of_the_signed_cube_root() -> None:
+    # smale_bound passes (log2 d)^2 >= 1, where the sign handling is idle.
+    for d in (*range(2, 2**16 + 1), *(2**j for j in range(17, 200))):
+        lg = math.log2(d)
+        assert smale_bound(d).hex() == (reference_cbrt(lg * lg) - 1.0).hex(), d
+
+
 def test_smale_bound_known_values() -> None:
     assert smale_bound(2) == 0.0  # exactly
     assert smale_bound(256) == 3.0  # 8^(2/3) = 4, exactly

@@ -284,6 +284,21 @@ def test_sector_render_equals_rotated_frame_render() -> None:
     assert abs(direct.seed - sector_seed(3, k)) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "d, kwargs, message",
+    [
+        (3, {"window": (1.0, 1.0, -2.0, 2.0)}, "positive extent"),
+        (3, {"resolution": (0, 5)}, "resolution must be positive"),
+        (3, {"sector": 3}, "sector index out of range"),
+        (1, {}, "degree must be at least 2"),
+        (1, {"sector": 5}, "degree must be at least 2"),  # sector_seed checks d first
+    ],
+)
+def test_render_rejects_an_empty_window_grid_or_sector(d, kwargs, message) -> None:
+    with pytest.raises(ValueError, match=message):
+        render(d, **{"resolution": (8, 8), **kwargs})
+
+
 def test_even_grids_avoid_the_axis_and_odd_grids_hit_it() -> None:
     even = render(2, resolution=(64, 64))
     assert even.converged.all()  # no cell center sits exactly on the cut

@@ -382,6 +382,12 @@ def test_scaled_root_rejects_a_non_finite_radicand(S) -> None:
     assert trace.computation_count == 0
 
 
+@pytest.mark.parametrize("solver", [sector_index, scaled_root, solve_pure_power])
+def test_degree_below_two_is_rejected(solver) -> None:
+    with pytest.raises(ValueError, match="degree must be at least 2"):
+        solver(1, 2 + 0j)
+
+
 # ----------------------------------------------------------- solve_pure_power
 
 def test_pure_power_known_root_sets() -> None:
@@ -430,6 +436,7 @@ def test_pure_power_failure_carries_the_outcome() -> None:
     # never be met: the iterate ends up alternating between neighbours.
     with pytest.raises(NoConvergenceError) as info:
         solve_pure_power(2, 2, NewtonConfig(threshold_r=5e-324))
+    assert isinstance(info.value, ArithmeticError)  # as scaled_root's range errors
     assert info.value.outcome.converged is False
     assert info.value.outcome.reason == "max iterations"
 
@@ -488,6 +495,12 @@ def reference_solve_pure_power(d, S, config=None, trace=None):
 
 def bits(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
+
+
+def test_sector_zero_seed_is_exactly_one() -> None:
+    # The general formula, with no case of its own: exp(0j) is 1 + 0j to the bit.
+    for d in range(2, 1025):
+        assert bits(sector_seed(d, 0)) == bits(1 + 0j), d
 
 
 def traced(fn, *args):

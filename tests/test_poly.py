@@ -146,6 +146,11 @@ def test_has_repeated_roots_examples() -> None:
     assert has_repeated_roots((1,)) is False
 
 
+def test_residual_of_a_value_beyond_the_double_range_is_inf() -> None:
+    # t itself is finite, but abs() of it overflows, and so does the scaled form.
+    assert residual(MonicPolynomial((0j,)), complex(1.5e308, 1.5e308)) == math.inf
+
+
 def test_validation_errors() -> None:
     with pytest.raises(ValueError):
         MonicPolynomial(())

@@ -19,6 +19,8 @@ from polybranch import (
     roots_to_poly,
     solve_by_power_iteration,
 )
+from polybranch.powiter import _fit_ratio, _polish
+from polybranch.report import RootReport
 from oracles import durand_kerner, multiset_max_distance
 
 
@@ -164,15 +166,15 @@ def assert_same_bits(F: CompanionMatrix, **kwargs) -> complex:
     return res.eigenvalue
 
 
-def bench_shaped_roots(rng: random.Random, i: int) -> list[complex]:
-    """Degree 2-8, moduli falling by a factor in [0.35, 0.75] per root, and
-    a dominant pair of equal modulus for one input in 16."""
-    degree = 2 + i % 7
+def bench_shaped_roots(rng: random.Random, i: int, degree: int | None = None) -> list[complex]:
+    """Degree 2-8 (unless given), moduli falling by a factor in [0.35, 0.75]
+    per root, and a dominant pair of equal modulus for one input in 16."""
+    degree = 2 + i % 7 if degree is None else degree
     moduli = [rng.uniform(0.5, 2.0)]
     for _ in range(degree - 1):
         moduli.append(moduli[-1] * rng.uniform(0.35, 0.75))
     roots = [m * random_phase(rng) for m in moduli]
-    if i % 16 == 0:
+    if i % 16 == 0 and degree > 1:
         roots[1] = -roots[0]
     return roots
 
@@ -328,6 +330,19 @@ def test_modulus_tie_is_flagged_not_silent() -> None:
     assert "unconverged" in report.warnings[0]
 
 
+def test_iteration_cap_is_flagged_as_its_own_cause() -> None:
+    report = solve_by_power_iteration(MonicPolynomial((-6, 11, -6)), max_iters=5)
+    assert report.warnings == (
+        "iteration cap reached at the degree-3 stage; roots[0:3] unconverged",
+    )
+    assert report.per_root_iterations == (5, 5, 5)
+
+
+def test_polish_stops_where_the_derivative_vanishes() -> None:
+    # (t - 1)^2 (t - 2) has p'(1) = 0 exactly, so no step is taken.
+    assert _polish(poly_with_roots((1.0, 1.0, 2.0)), 1.0) == 1.0
+
+
 def test_linear_polynomial_short_circuits() -> None:
     report = solve_by_power_iteration(MonicPolynomial((3 + 4j,)))
     assert report.roots == (-3 - 4j,)
@@ -363,3 +378,97 @@ def test_round_trip_against_the_oracle_on_separated_moduli() -> None:
         assert multiset_max_distance(got, expected)[0] < 1e-6
         assert report.branch_count == 0
         solved += 1
+
+
+# ------------------------------------------- bits of the reference stage loop
+
+def reference_detect_equal_magnitude(history) -> bool:
+    """A frozen copy of the tie detector, with its check for a missing fit."""
+    tail = list(history)[-8:]
+    if len(tail) < 8 or min(tail) <= 1e-8:
+        return False
+    ratio = _fit_ratio(tail)
+    return ratio is not None and ratio >= 0.95
+
+
+def reference_solve_by_power_iteration(p, max_iters=500, tol=1e-10) -> RootReport:
+    """A frozen copy of the stage loop ``solve_by_power_iteration`` must match
+    field for field: a ``while`` over the roots still missing, with an exit
+    for none left.  It calls the live ``power_iterate``, ``_polish`` and
+    ``deflate``."""
+    degree = p.degree
+    roots, iters, warnings = [], [], []
+    current = p
+    while True:
+        remaining = degree - len(roots)
+        if remaining == 0:
+            break
+        if remaining == 1:
+            roots.append(-current.coeffs[0])
+            iters.append(0)
+            break
+        try:
+            res = power_iterate(companion(current), max_iters=max_iters, tol=tol)
+        except ZeroEigenvalueError:
+            roots.append(0j)
+            iters.append(0)
+            current = deflate(current, 0j)[0]
+            continue
+        if not res.converged:
+            if res.iterations < max_iters:
+                cause = "iterate norm overflowed"
+            elif reference_detect_equal_magnitude(res.residual_history):
+                cause = "equal-magnitude dominant eigenvalues"
+            else:
+                cause = "iteration cap reached"
+            warnings.append(
+                f"{cause} at the degree-{remaining} stage;"
+                f" roots[{len(roots)}:{degree}] unconverged"
+            )
+            for _ in range(remaining):
+                roots.append(res.eigenvalue)
+                iters.append(res.iterations)
+            break
+        z = _polish(current, res.eigenvalue)
+        roots.append(z)
+        iters.append(res.iterations)
+        current = deflate(current, z)[0]
+    return RootReport.answering(
+        p,
+        roots=tuple(roots),
+        branch_count=0,
+        method="power-iteration",
+        per_root_iterations=tuple(iters),
+        warnings=tuple(warnings),
+    )
+
+
+def report_bits(report: RootReport) -> tuple:
+    """Every field of a report, each float spelled exactly."""
+    return (
+        tuple((z.real.hex(), z.imag.hex()) for z in report.roots),
+        tuple(r.hex() for r in report.residuals),
+        report.branch_count,
+        report.method,
+        report.per_root_iterations,
+        report.warnings,
+    )
+
+
+@pytest.mark.parametrize("max_iters", [500, 5, 1])
+def test_stage_loop_keeps_the_fields_of_the_reference_loop(max_iters) -> None:
+    rng = random.Random(1400 + max_iters)
+    inputs = [
+        MonicPolynomial((0j, 0j)),  # an exact zero eigenvalue
+        poly_with_roots((2.0 ** -519, 2.0 ** -521)),
+        MonicPolynomial((0j, 0j, 1e200)),  # the iterate's norm overflows
+    ]
+    inputs += [
+        poly_with_roots(bench_shaped_roots(rng, i, degree=rng.randint(1, 8)))
+        for i in range(160)
+    ]
+    assert {p.degree for p in inputs} == set(range(1, 9))
+    for p in inputs:
+        assert report_bits(solve_by_power_iteration(p, max_iters=max_iters)) == report_bits(
+            reference_solve_by_power_iteration(p, max_iters=max_iters)
+        ), p

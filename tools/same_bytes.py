@@ -153,6 +153,9 @@ COMMANDS: list[tuple[str, ...]] = [
     ("solve", "--pure-power", "--d", "16", "--S=0.9238795325112867,-0.3826834323650898"),
     ("solve", "--pure-power", "--d", "64", "--S=1.9903694533443936,-0.19603428065912118"),
     ("bound", "--degrees", "16,64", "--samples", "200", "--rng-seed", "5"),
+    # smale_bound(256) is exactly 3.0; the fractal degree error without --pgm
+    ("bound", "--degrees", "2,3,4,5,8,256", "--samples", "50", "--rng-seed", "9"),
+    ("fractal", "--d", "1", "--out", "o.ppm"),
 ]
 
 
