@@ -149,11 +149,34 @@ def has_repeated_roots(roots: RootTuple) -> bool:
 
     Relative, so the verdict does not depend on the roots' scale; equal
     roots, zeros included, always coincide.
+
+    The verdict is that of testing every pair, from fewer tests.  A root
+    with an inf or nan part is tested against every other root.  The finite
+    roots are sorted by real part, and a pair is tested only where its real
+    parts differ by at most twice ``REPEATED_ROOT_TOL`` times the largest
+    finite part: a pair that coincides differs by less in its real part,
+    since a modulus is at most sqrt(2) times the larger of its parts.  A
+    pair test that meets a root whose modulus overflows a double raises
+    ``OverflowError``; the window meets fewer such pairs than every pair did.
     """
     n = len(roots)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ri, rj = roots[i], roots[j]
-            if abs(ri - rj) <= REPEATED_ROOT_TOL * max(abs(ri), abs(rj)):
+    finite = [math.isfinite(r.real) and math.isfinite(r.imag) for r in roots]
+    odd = [k for k in range(n) if not finite[k]]
+    if any(_coincide(roots[min(j, k)], roots[max(j, k)]) for k in odd for j in range(n) if j != k):
+        return True
+    ordered = sorted((r for r, f in zip(roots, finite) if f), key=lambda r: r.real)
+    largest = max((max(abs(r.real), abs(r.imag)) for r in ordered), default=0.0)
+    width = 2 * REPEATED_ROOT_TOL * largest
+    for i, a in enumerate(ordered):
+        for j in range(i + 1, len(ordered)):
+            if ordered[j].real - a.real > width:
+                break
+            if _coincide(a, ordered[j]):
                 return True
     return False
+
+
+def _coincide(a: complex, b: complex) -> bool:
+    """The pair test of ``has_repeated_roots``; for non-finite roots its
+    verdict can depend on the order of a and b."""
+    return abs(a - b) <= REPEATED_ROOT_TOL * max(abs(a), abs(b))

@@ -510,6 +510,52 @@ def test_fractal_is_deterministic_across_runs_and_worker_counts(tmp_path):
     assert stdouts[0] == stdouts[1] == stdouts[2]
 
 
+SPLIT_FRAME = ("fractal", "--d", "5", "--seed", "0.8,0.6", "--resolution", "512x512",
+               "--out", "o.ppm", "--pgm", "o.pgm")
+
+
+def test_a_split_frame_has_the_bytes_of_a_frame_pinned_to_one_cpu(tmp_path):
+    # Pinned to one CPU the frame runs in one part; unpinned, in one part
+    # per usable CPU.  The affinity is set in the child alone.
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two usable CPUs and a settable CPU affinity")
+    cpu = min(os.sched_getaffinity(0))
+
+    def pin():
+        os.sched_setaffinity(0, {cpu})
+
+    def run(preexec, *args, cwd=None):
+        env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+        try:
+            return subprocess.run([sys.executable, *args], capture_output=True, cwd=cwd,
+                                  env=env, preexec_fn=preexec)
+        except subprocess.SubprocessError:
+            pytest.skip("the CPU affinity of a child cannot be set here")
+
+    probe = run(pin, "-c", "import os; print(len(os.sched_getaffinity(0)))")
+    assert probe.stdout == b"1\n"
+    outputs = []
+    for name, preexec in (("pinned", pin), ("free", None)):
+        work = tmp_path / name
+        work.mkdir()
+        proc = run(preexec, "-m", "polybranch", *SPLIT_FRAME, cwd=work)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b""
+        outputs.append((proc.stdout, (work / "o.ppm").read_bytes(), (work / "o.pgm").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_a_split_frame_from_the_critical_point_warns_of_nothing(tmp_path):
+    # Seed 0 divides 0 by 0 in every lane of every part at the first step;
+    # each part keeps that quiet, so even -W error leaves stderr empty.
+    env = dict(os.environ, PYTHONWARNINGS="error")
+    proc = run_cli("fractal", "--d", "3", "--seed", "0,0", "--resolution", "512x512",
+                   "--out", "o.ppm", cwd=tmp_path, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert all(entry["converged_fraction"] == 0.0 for entry in json.loads(proc.stdout)["sectors"])
+
+
 def test_bound_table_covers_requested_degrees():
     proc = run_cli("bound", "--degrees", "2,3,4", "--samples", "40")
     assert proc.returncode == 0

@@ -5,6 +5,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import threading
+import time
+import types
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from polybranch import (
     write_image,
     write_pgm,
 )
+from polybranch import fractal
 from polybranch.fractal import COLORMAP, DIVERGED_COLOR, rotated_frame
 from polybranch.newton import DIVERGENCE_BAILOUT
 
@@ -210,6 +214,125 @@ def test_modulus_screen_keeps_every_escape_time() -> None:
     want_iters, want_conv = unscreened_escape_times(3, cells, 0j, DEFAULTS)
     assert np.array_equal(iters, want_iters) and np.array_equal(conv, want_conv)
     assert conv.sum() == 1 and (iters[~conv] == DEFAULTS.max_iters).all()
+
+
+# ------------------------------------------------- lanes split over threads
+
+def counted_escape_times(monkeypatch, cpus: int, *args):
+    """``escape_times`` as on a machine with ``cpus`` usable CPUs; returns
+    its result and the number of threads it started."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self) -> None:
+            started.append(self)
+            super().start()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fractal, "_usable_cpus", lambda: cpus)
+        patch.setattr(fractal, "threading", types.SimpleNamespace(Thread=Counted))
+        out = escape_times(*args)
+    assert not any(thread.is_alive() for thread in started)
+    return out, len(started)
+
+
+SQUARE = (-2.0, 2.0, -2.0, 2.0)
+SPLIT_CASES = {
+    # d, seed, cells, config
+    "d3": (3, 1 + 0j, fractal._cell_centers(SQUARE, 256, 256), DEFAULTS),
+    "d5": (5, 1 + 0j, fractal._cell_centers(SQUARE, 256, 256), DEFAULTS),
+    # an odd grid: one S = 0 cell, and cells on both axes
+    "d7-odd": (7, 1 + 0j, fractal._cell_centers(SQUARE, 257, 257), DEFAULTS),
+    # enough lanes for three parts
+    "d3-off-axis": (
+        3, cmath.exp(0.4j), fractal._cell_centers((-1.97, 2.03, -2.04, 1.96), 320, 320), DEFAULTS
+    ),
+    "d5-seed-0": (5, 0j, fractal._cell_centers(SQUARE, 256, 256), DEFAULTS),
+    "d5-sector-2": (
+        5, 1 + 0j, rotated_frame(5, fractal._cell_centers(SQUARE, 256, 256), 2), DEFAULTS
+    ),
+    "d3-one-step": (3, 1 + 0j, fractal._cell_centers(SQUARE, 256, 256), NewtonConfig(max_iters=1)),
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_split_grids_keep_every_escape_time(case, monkeypatch) -> None:
+    # Every lane's arithmetic is elementwise, so a grid split over any
+    # number of threads gives the bits of the unsplit, unscreened reference.
+    d, seed, cells, cfg = SPLIT_CASES[case]
+    want = unscreened_escape_times(d, cells, seed, cfg)
+    lanes = int(np.count_nonzero(cells))
+    for cpus in (1, 2, 3):
+        (iters, conv), threads = counted_escape_times(monkeypatch, cpus, d, cells, seed, cfg)
+        assert threads == min(cpus, lanes // fractal.LANES_PER_PART) - 1
+        assert np.array_equal(iters, want[0]), (case, cpus)
+        assert np.array_equal(conv, want[1]), (case, cpus)
+
+
+def test_parts_follow_the_usable_cpus_and_the_lane_count(monkeypatch) -> None:
+    per = fractal.LANES_PER_PART
+    cases = [
+        # cells, usable CPUs, threads started besides the caller
+        (np.ones(2 * per - 1, complex), 8, 0),
+        (np.ones(2 * per, complex), 8, 1),
+        (np.ones(2 * per, complex), 1, 0),
+        (np.concatenate([np.ones(2 * per - 1, complex), np.zeros(5, complex)]), 8, 0),
+        (np.ones(5 * per, complex), 3, 2),
+        (fractal._cell_centers(SQUARE, 128, 128), 8, 0),  # the CLI's 128x128 frame
+    ]
+    for cells, cpus, threads in cases:
+        (iters, conv), started = counted_escape_times(monkeypatch, cpus, 3, cells, 1 + 0j)
+        assert started == threads, (cells.size, cpus)
+        if cells.ndim == 1:  # S = 1 and S = 0 lanes converge at the seed check
+            assert conv.all() and not iters.any()
+    assert fractal._usable_cpus() >= 1
+
+
+@pytest.mark.parametrize("failing", ["thread", "caller"])
+def test_a_failing_part_raises_in_the_caller_after_every_part_stopped(
+    failing, monkeypatch
+) -> None:
+    caller = threading.get_ident()
+    log = []
+    hooked = []
+    kernel = fractal._escape_lanes
+
+    def lanes(*args) -> None:
+        mine = threading.get_ident() == caller
+        if mine == (failing == "caller"):
+            raise FloatingPointError(f"the {failing} part failed")
+        time.sleep(0.2)  # the failing part is done long before this one
+        kernel(*args)
+        log.append("done")
+
+    monkeypatch.setattr(fractal, "_escape_lanes", lanes)
+    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"the {failing} part failed"):
+        escape_times(3, fractal._cell_centers(SQUARE, 256, 256), 1 + 0j)
+    assert log == ["done"]  # the other part ran to its end before the raise
+    assert threading.active_count() == before
+    assert hooked == []
+
+
+def test_every_part_runs_under_the_callers_numpy_error_state(monkeypatch) -> None:
+    seen = []
+    kernel = fractal._escape_lanes
+
+    def lanes(*args) -> None:
+        seen.append((np.geterr(), np.geterrcall()))
+        kernel(*args)
+
+    def callback(kind: str, flag: int) -> None:
+        pass
+
+    monkeypatch.setattr(fractal, "_escape_lanes", lanes)
+    monkeypatch.setattr(fractal, "_usable_cpus", lambda: 3)
+    with np.errstate(over="raise", under="call", divide="ignore", invalid="log", call=callback):
+        want = (np.geterr(), callback)
+        escape_times(3, fractal._cell_centers(SQUARE, 320, 320), 1 + 0j)
+    assert seen == [want] * 3
 
 
 # ------------------------------------------------- rotation / sector frames

@@ -18,6 +18,7 @@ from polybranch import (
     has_repeated_roots,
     roots_to_poly,
 )
+from polybranch import poly
 from polybranch.poly import _scaled_residual, residual
 
 RNG_SEED = 20260814
@@ -144,6 +145,116 @@ def test_has_repeated_roots_examples() -> None:
     assert has_repeated_roots((0, 1e-9)) is False
     assert has_repeated_roots((0, 0, 1)) is True  # equal zeros coincide
     assert has_repeated_roots((1,)) is False
+
+
+def reference_has_repeated_roots(roots) -> bool:
+    """The all-pairs loop that ``has_repeated_roots`` replaced, frozen."""
+    n = len(roots)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ri, rj = roots[i], roots[j]
+            if abs(ri - rj) <= 1e-9 * max(abs(ri), abs(rj)):
+                return True
+    return False
+
+
+def verdict(test, roots):
+    """The verdict of ``test``, or the type of the error it raises."""
+    try:
+        return test(roots)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def root_sets():
+    """Root tuples for the frozen-reference comparison, by kind."""
+    rng = random.Random(RNG_SEED + 7)
+    inf, nan = math.inf, math.nan
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        scale = 10.0 ** rng.uniform(-300, 300)
+        roots = [random_complex(rng, 1.0) * scale for _ in range(n)]
+        if n and rng.random() < 0.5:  # a near copy, on either side of the tolerance
+            r = rng.choice(roots)
+            rel = rng.choice((0.0, 2**-31, 2**-30, 2**-29, 1e-9, 1.0000001e-9))
+            roots.insert(rng.randrange(n + 1), r * complex(1 + rel, rel * rng.random()))
+        if n and rng.random() < 0.3:  # conjugate pairs share their real part
+            roots += [r.conjugate() for r in roots[: rng.randint(1, n)]]
+        rng.shuffle(roots)
+        yield "random", tuple(roots)
+    zeros = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+    for a in zeros:
+        for b in zeros:
+            yield "zeros", (a, b)
+            yield "zeros", (a, 1e-300, b)
+            yield "zeros", (a, 5e-324, 1 + 0j)
+    yield "zeros", (0.0, -0.0, 0, 1)
+    for d in (2, 3, 7, 64, 1000, 4000):
+        principal = 0.5 ** (1 / d)
+        roots = tuple(principal * cmath.exp(2j * math.pi * j / d) for j in range(d))
+        yield "pure power", roots
+        # Coincidences the all-pairs loop meets early, so that d = 4000 pays
+        # for one full scan only.
+        yield "pure power", roots + (roots[1] * (1 + 1e-10),)
+        yield "pure power", tuple(r.conjugate() for r in roots) + roots[:1]
+    specials = [complex(inf, 0), complex(-inf, 1), complex(0, inf), complex(inf, nan),
+                complex(nan, inf), complex(nan, 0), complex(1, nan), complex(nan, nan),
+                complex(inf, inf)]
+    finite = [1 + 0j, 0j, complex(1e300, -1e300), 2.5 - 1j]
+    for a in specials:
+        for b in specials + finite:
+            yield "non-finite", (a, b)
+            yield "non-finite", (b, a)
+            for c in finite:
+                yield "non-finite", (c, a, b)
+                yield "non-finite", (a, c, b)
+    yield "non-finite", tuple(finite) + (complex(nan, 0),) + tuple(finite[:1])
+    # Moduli beyond the double range, where some pair tests overflow.
+    big = 1.5e308
+    for roots in ((complex(big, big), complex(-big, -big)), (complex(big, 0), complex(-big, 0)),
+                  (1 + 0j, 1 + 0j, complex(big, big), complex(-big, -big)),
+                  (complex(big, big), complex(-big, -big), 1 + 0j, 1 + 0j),
+                  (1 + 0j, 1 + 0j, complex(-big, big), complex(-big, big)),
+                  (complex(big, 1), complex(big, 1)), (complex(big, big), complex(big, big))):
+        yield "huge", roots
+
+
+def test_repeated_roots_keep_the_verdict_of_the_all_pairs_loop() -> None:
+    kinds = {}
+    for kind, roots in root_sets():
+        want = verdict(reference_has_repeated_roots, roots)
+        got = verdict(has_repeated_roots, roots)
+        if kind == "huge":
+            # The tests are made in another order, and fewer of them, so an
+            # overflow may be met where the loop met none, or the reverse.
+            # A verdict is that of the loop on the roots scaled by 2**-4.
+            scaled = tuple(complex(r.real / 16, r.imag / 16) for r in roots)
+            assert got in (verdict(reference_has_repeated_roots, scaled), OverflowError), roots
+        else:
+            assert got == want, (kind, roots[:6], len(roots))
+        kinds.setdefault(kind, set()).add(want)
+        kinds.setdefault(kind + " (new)", set()).add(got)
+    # Every kind gives both verdicts, and the huge parts also the overflow.
+    assert all({True, False} <= seen for seen in kinds.values()), kinds
+    assert OverflowError in kinds["huge"] and OverflowError in kinds["huge (new)"]
+
+
+def test_repeated_roots_at_large_degree_test_few_pairs(monkeypatch) -> None:
+    # The all-pairs loop makes d(d - 1)/2 = 2e8 pair tests here.
+    d = 20000
+    roots = tuple(cmath.exp(2j * math.pi * j / d) for j in range(d))
+    tests = []
+    pair_test = poly._coincide
+
+    def counted(a: complex, b: complex) -> bool:
+        tests.append(1)
+        assert len(tests) < 10 * d  # fails fast where the tests grow as d**2
+        return pair_test(a, b)
+
+    monkeypatch.setattr(poly, "_coincide", counted)
+    assert has_repeated_roots(roots) is False
+    assert has_repeated_roots(roots + roots[-1:]) is True
+    assert 0 < len(tests) < 10 * d
 
 
 def test_residual_of_a_value_beyond_the_double_range_is_inf() -> None:

@@ -156,6 +156,13 @@ COMMANDS: list[tuple[str, ...]] = [
     # smale_bound(256) is exactly 3.0; the fractal degree error without --pgm
     ("bound", "--degrees", "2,3,4,5,8,256", "--samples", "50", "--rng-seed", "9"),
     ("fractal", "--d", "1", "--out", "o.ppm"),
+    # 512x512 frames whose lanes split over threads, and a degree whose
+    # coincident-roots test once compared every pair
+    ("fractal", "--d", "7", *FRACTAL_FILES, "--resolution", "512x512", "--seed", "0.8,0.6",
+     "--window=-1.97,2.03,-2.04,1.96"),
+    ("fractal", "--d", "5", *FRACTAL_FILES, "--resolution", "512x512", "--seed", "0,0"),
+    ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "512x512", "--max-iters", "1"),
+    ("solve", "--pure-power", "--d", "4000", "--S=0.5"),
 ]
 
 
