@@ -222,6 +222,11 @@ def _measure_branches(d: int, samples: int, rng: random.Random) -> tuple[int, st
     solver on right-hand sides from the same disk.  Failed runs, whether
     Newton did not converge or a radicand left the double range, still
     contribute the branches they spent before stopping.
+
+    A nonzero pure power takes 2 branches (the zero and half-plane tests),
+    below smale_bound from d = 37 on: a fact about the family t**d = S, whose
+    covering has Schwarz genus 2, not a breach of the bound, which is for
+    the general degree-d polynomial.
     """
     solver = CLOSED_FORM.get(d)
     worst = 0
@@ -342,7 +347,9 @@ def build_parser() -> _Parser:
         description="One row per degree, the only place a measured worst-case"
         " branch count meets the Smale bound (log2 d)^(2/3) - 1 and the"
         " cup-length certificate behind it; bound_satisfied is the strict"
-        " measured > smale_bound.",
+        " measured > smale_bound.  Other degrees measure the family t**d = S,"
+        " whose 2 branches read false from d = 37 on: the bound is for the"
+        " general degree-d polynomial.",
     )
     bound.add_argument("--degrees", required=True, help="comma list, e.g. 2,3,4")
     bound.add_argument(

@@ -2,15 +2,16 @@
 
 All square and cube roots go through the seeded Newton kernel -- never
 through built-in fractional powers -- so the decision count of a solve is
-exactly the seed-selection and degenerate-case branching it performed:
+exactly its radicals' half-plane tests, one each, and its degenerate-case
+tests:
 
 * quadratic: one square root, 1 branch on every path;
 * cubic: one square root plus the cube roots (the second cube root is paired
   as -p/(3u) when u is usable, otherwise drawn by its own radical), at most
-  5 branches;
-* quartic: square root + cube root building the resolvent (3), the
+  3 branches;
+* quartic: square root + cube root building the resolvent (2), the
   degenerate test on it (1), one more square root (1), and the two final
-  square roots (2) -- at most 7.
+  square roots (2) -- at most 6.
 
 Numerical guards (an unusably small u, a resolvent branch whose offset
 collapses) are plumbing, not decision nodes: they re-route to algebraically
@@ -48,7 +49,7 @@ def solve_cubic(
     config: NewtonConfig | None = None,
     trace: BranchTrace | None = None,
 ) -> tuple[complex, complex, complex]:
-    """Roots of t**3 + a2 t**2 + a1 t + a0.  At most five decisions."""
+    """Roots of t**3 + a2 t**2 + a1 t + a0.  At most three decisions."""
     p = a1 - a2 * a2 / 3
     q = 2 * a2 ** 3 / 27 - a2 * a1 / 3 + a0
     root_disc = scaled_root(2, q * q / 4 + p ** 3 / 27, config, trace)
@@ -80,11 +81,11 @@ def solve_quartic(
     config: NewtonConfig | None = None,
     trace: BranchTrace | None = None,
 ) -> tuple[complex, complex, complex, complex]:
-    """Roots of t**4 + a3 t**3 + a2 t**2 + a1 t + a0.  At most seven decisions.
+    """Roots of t**4 + a3 t**3 + a2 t**2 + a1 t + a0.  At most six decisions.
 
     ``p``/``q`` are the depressed quartic's quadratic/linear coefficients and
     ``delta0``/``delta1`` the two classical invariants.  The nested square
-    root and cube root of the invariants spend 3 branches, the degenerate
+    root and cube root of the invariants spend 2 branches, the degenerate
     test of that cube radical 1, and off the degenerate path the offset's
     square root and the two final square roots 3 more.  On the degenerate
     path (vanishing cube radical, i.e. a root of multiplicity >= 3) the roots

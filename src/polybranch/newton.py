@@ -7,10 +7,10 @@ exactly onto the seed-1 iteration, which is why one calibrated sector -- the
 one around the positive real axis, forced by conjugation symmetry and by
 monotone convergence on that axis -- determines all the others.
 
-Choosing the sector is the only data-dependent branching in the solver.
-``sector_index`` computes it once from the phase of S, so every nonzero S
-lands in exactly one sector; the trace then records the decisions of the
-chain of at most d - 1 membership tests that reaches that sector.  Iteration
+A radical needs no sector, only a half-plane: t -> t**d covers the punctured
+plane, and a half-plane is simply connected, so each half-plane carries a
+continuous d-th root (Schwarz genus 2 for every d; Smale, "On the topology
+of algorithms I", 1987).  ``select_seed`` records that one test; iteration
 counts and convergence checks are not decisions.
 """
 
@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .tracing import BranchTrace, Decision, record_decision
+from .tracing import BranchTrace, record_decision
 
 _EPS = sys.float_info.epsilon
 # An iterate beyond this modulus has diverged; every Newton routine stops it.
@@ -166,38 +166,29 @@ def sector_index(d: int, S: complex) -> int:
     return (position + 1) // 2 % d
 
 
-@lru_cache(maxsize=16)
-def _sector_tests(d: int) -> tuple[tuple[Decision, ...], tuple[Decision, ...]]:
-    """The False and the True node of each of degree d's d - 1 sector tests."""
-    labels = [f"seed_sector_{j}" for j in range(d - 1)]
-    return (
-        tuple(Decision(label, False) for label in labels),
-        tuple(Decision(label, True) for label in labels),
-    )
-
-
 def select_seed(
     d: int,
     S: complex,
     trace: BranchTrace | None = None,
 ) -> tuple[complex, int]:
-    """Pick the Newton seed for t**d = S from its sector.
+    """The Newton seed for t**d = S and its half-plane h, for one decision.
 
-    The trace records the decisions of the membership chain over sectors
-    0, 1, ...: for sector k < d - 1 the k + 1 tests of sectors 0..k, only
-    the last True; the last sector k = d - 1 is the chain's fall-through and
-    costs no test of its own, so its d - 1 recorded tests are all False.
-    Every path records between 1 and d - 1 decisions (exactly 1 when d = 2).
-
-    The nodes come from a table built once per degree (its d - 1 False and
-    d - 1 True nodes, a bounded number of degrees kept); ``Decision`` is
-    immutable, so every trace shares them.
+    ``seed_sector_0`` records the quadratic's rule ``sector_index(2, S) == 0``
+    (h = 0) at every degree.  Newton then runs on R = S, or on R = -S when
+    h = 1, from 1 + (R/|R| - 1)/d: continuous in R, it leads to R's principal
+    root.
     """
-    k = sector_index(d, S)
-    if trace is not None:
-        misses, hits = _sector_tests(d)
-        trace.decisions += misses[:k] + hits[k : k + 1]  # no hit for k = d - 1
-    return sector_seed(d, k), k
+    half = sector_index(2, S)
+    record_decision(trace, "seed_sector_0", half == 0)
+    R = -S if half else S
+    return 1 + (R / abs(R) - 1) / d, half
+
+
+@lru_cache(maxsize=16)
+def _half_turn(d: int) -> complex:
+    """exp(1j*pi/d), which turns a d-th root of -S into one of S."""
+    # exactly 1j at d = 2: a rounded exp(1j*pi/2) has a real part of 6e-17
+    return 1j if d == 2 else cmath.exp(1j * math.pi / d)
 
 
 def scaled_root(
@@ -206,18 +197,21 @@ def scaled_root(
     config: NewtonConfig | None = None,
     trace: BranchTrace | None = None,
 ) -> complex:
-    """One d-th root of S: sector-seeded Newton on a range-reduced input.
+    """One d-th root of S for one decision, continuous in S off one ray.
+
+    On the left half-plane the root is exp(1j*pi/d) times the principal root
+    of -S, so it turns by exp(2j*pi/d) only across the negative imaginary
+    axis, between -i and the third quadrant.
 
     A radicand of exactly 0 (of either sign) has the root 0, returned without
-    a Newton step.  It still records the sector-0 test that a nonzero
-    radicand on the positive real axis would (0 lies in the closure of
-    sector 0), so the decision count of a path does not depend on this
-    degeneracy.
+    a Newton step.  It still records the half-plane test that a nonzero
+    radicand on the positive real axis would, so the decision count of a
+    path does not depend on this degeneracy.
 
     S is divided by an exact power of 2**d chosen to put the magnitude in
     (2**-(d+1), 1]; the root scales back by the matching power of 2, also
-    exactly.  Scaling by a positive real leaves arg S -- and with it every
-    sector decision -- untouched.  The sub-unit window matters: a magnitude
+    exactly.  Scaling by a positive real leaves arg S -- and with it the
+    half-plane decision -- untouched.  The sub-unit window matters: a magnitude
     above 1 makes the first step overshoot to about |S|/d (losing the seed's
     angular alignment, and at extreme magnitudes tripping the divergence
     bailout), while below 1 the orbit stays inside the unit disk and walks
@@ -258,11 +252,12 @@ def scaled_root(
         )
     # Component-wise, so no power of two outside the double range is formed.
     scaled = complex(math.ldexp(S.real, shift), math.ldexp(S.imag, shift))
-    seed, _ = select_seed(d, scaled, trace)
-    out = newton_root(d, scaled, seed, cfg, trace)
+    seed, half = select_seed(d, scaled, trace)
+    out = newton_root(d, -scaled if half else scaled, seed, cfg, trace)
     if not out.converged:
         raise NoConvergenceError(out, f"t**{d} = {S!r}")
-    return out.value * math.ldexp(1.0, m)
+    root = out.value * _half_turn(d) if half else out.value
+    return root * math.ldexp(1.0, m)
 
 
 @lru_cache(maxsize=16)
@@ -277,13 +272,13 @@ def solve_pure_power(
     config: NewtonConfig | None = None,
     trace: BranchTrace | None = None,
 ) -> tuple[complex, ...]:
-    """All d roots of t**d - S using at most d recorded branches.
+    """All d roots of t**d - S using 2 recorded branches, or 1 when S = 0.
 
-    One branch tests S = 0 (all roots collapse to 0); otherwise the sector
-    chain spends at most d - 1 more picking the seed, a single Newton run
-    finds one root, and the rest are its exact rotations: the principal
-    root times the unit roots exp(2j*pi*j/d), j = 1..d-1, which are built
-    once per degree (a bounded number of degrees kept) and shared.
+    One branch tests S = 0 (all roots collapse to 0); otherwise the
+    half-plane test picks the seed, a single Newton run finds one root, and
+    the rest are its exact rotations: that root times the unit roots
+    exp(2j*pi*j/d), j = 1..d-1, which are built once per degree (a bounded
+    number of degrees kept) and shared.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")

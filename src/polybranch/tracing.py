@@ -1,16 +1,11 @@
 """Decision traces for branch-counted solvers.
 
 A solver threads a ``BranchTrace`` through its control flow and records every
-data-dependent decision node (seed-sector tests, degenerate-case tests).
+data-dependent decision node (half-plane tests, degenerate-case tests).
 Loop iterations and convergence checks are bookkeeping, not decisions, and
 are tallied separately as computation steps.  Tracing is optional: all
 recording helpers accept ``trace=None`` and solvers produce bit-identical
 numbers either way.
-
-A ``Decision`` is an immutable value, so one node may sit in many traces: a
-solver that takes the same tests on every call builds their nodes once and
-appends them to a trace's ``decisions`` (the seed-sector chain keeps one
-table per degree).  A trace's own ``decisions`` list is never shared.
 
 This module only records traces; the comparison of a measured count with
 the lower bound is the ``bound`` command's row.

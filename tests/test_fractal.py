@@ -19,13 +19,12 @@ from polybranch import (
     render,
     sector_seed,
     sector_statistics,
-    select_seed,
     write_image,
     write_pgm,
 )
 from polybranch import fractal
 from polybranch.fractal import COLORMAP, DIVERGED_COLOR, rotated_frame
-from polybranch.newton import DIVERGENCE_BAILOUT
+from polybranch.newton import DIVERGENCE_BAILOUT, sector_index
 
 DEFAULTS = NewtonConfig()
 
@@ -599,7 +598,7 @@ def test_boundary_ray_cells_land_where_the_seed_chain_puts_them(d, resolution) -
     counted = centers[np.abs(centers) >= 0.1]
     want = [0] * d
     for S in counted:
-        want[select_seed(d, complex(S))[1]] += 1
+        want[sector_index(d, complex(S))] += 1
     assert [s["cells"] for s in sector_statistics(grid)] == want
 
 

@@ -5,8 +5,11 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polybranch import (
     BranchTrace,
@@ -154,11 +157,12 @@ def test_converged_residual_bound_over_random_inputs() -> None:
         S = random_complex(rng)
         if S == 0:
             continue
-        seed, _ = select_seed(d, S)
-        out = newton_root(d, S, seed, TIGHT)
+        seed, half = select_seed(d, S)
+        R = -S if half else S
+        out = newton_root(d, R, seed, TIGHT)
         if out.converged:
-            tol = residual_tolerance(d, abs(S), TIGHT.threshold_r)
-            assert abs(out.value ** d - S) < 10 * tol
+            tol = residual_tolerance(d, abs(R), TIGHT.threshold_r)
+            assert abs(out.value ** d - R) < 10 * tol
 
 
 def test_residual_tolerance_scales_with_inputs() -> None:
@@ -187,13 +191,19 @@ def test_seed_table_matches_the_roots_of_unity_schedule() -> None:
 
 
 def test_select_seed_known_sides() -> None:
-    seed, sector = select_seed(2, 1)
-    assert (seed, sector) == (1 + 0j, 0)
-    seed, sector = select_seed(2, -4)
-    assert (seed, sector) == (1j, 1)
-    seed, sector = select_seed(3, 5 * cmath.exp(2j * math.pi / 3))
-    assert sector == 1
-    assert abs(seed - cmath.exp(2j * math.pi / 9)) < 1e-15
+    # The seed is 1 + (R/|R| - 1)/d for R = S on the right half, -S on the left.
+    assert select_seed(2, 1) == (1 + 0j, 0)
+    assert sector_index(2, 1) == 0
+    assert select_seed(2, -4) == (1 + 0j, 1)  # R = 4
+    assert sector_index(2, -4) == 1
+    S = 5 * cmath.exp(2j * math.pi / 3)
+    assert sector_index(3, S) == 1
+    seed, half = select_seed(3, S)
+    assert half == 1  # arg S = 2*pi/3 is on the left half
+    assert abs(seed - (1 + (cmath.exp(-1j * math.pi / 3) - 1) / 3)) < 1e-15
+    # the edges: +i is on the left half, -i on the right
+    assert select_seed(5, 1j)[1] == 1
+    assert select_seed(5, -1j)[1] == 0
     with pytest.raises(ValueError):
         select_seed(2, 0)
 
@@ -207,7 +217,6 @@ def test_sectors_partition_the_punctured_plane() -> None:
             continue
         sector = sector_index(d, S)
         assert sector in range(d)
-        assert sector == select_seed(d, S)[1]
     # Rays on the boundary arg S = (2j + 1)*pi/d between sectors j and j + 1,
     # as exactly as a double can place them: each lands in one of the two.
     for d in range(2, 65):
@@ -216,13 +225,11 @@ def test_sectors_partition_the_punctured_plane() -> None:
                 S = cmath.rect(radius, (2 * j + 1) * math.pi / d)
                 sector = sector_index(d, S)
                 assert sector in range(d), (d, j, radius)
-                assert sector == select_seed(d, S)[1]
                 assert sector in (j, (j + 1) % d), (d, j, radius, sector)
         # arg S = +-pi, both signed zeros: one sector, the one opening at -pi
         # for odd d and centred there for even d
         for S in (complex(-2.0, 0.0), complex(-2.0, -0.0)):
             assert sector_index(d, S) == (d + 1) // 2, (d, S)
-            assert select_seed(d, S)[1] == (d + 1) // 2
 
 
 def test_sector_boundaries_are_half_open() -> None:
@@ -232,8 +239,8 @@ def test_sector_boundaries_are_half_open() -> None:
         lower_edge = cmath.exp(-1j * math.pi / d)  # arg = -pi/d
         assert sector_index(d, lower_edge) == 0
     # the fold at arg = pi: a negative real input for even and odd degree
-    assert select_seed(2, -4)[1] == 1
-    assert select_seed(3, -1)[1] in (1, 2)
+    assert sector_index(2, -4) == 1
+    assert sector_index(3, -1) in (1, 2)
     with pytest.raises(ValueError):
         sector_index(2, 0)
 
@@ -258,16 +265,12 @@ def test_seed_selection_branch_chain_length() -> None:
         if S == 0:
             continue
         trace = BranchTrace()
-        _, sector = select_seed(d, S, trace)
-        sectors.add((d, sector))
-        expected = min(sector + 1, d - 1)
-        assert trace.branch_count == expected
-        # only the last test is True; the fall-through sector d - 1 has none
-        assert chain(trace) == [(f"seed_sector_{j}", j == sector) for j in range(expected)]
-        # for the quadratic the chain is always exactly one decision
-        if d == 2:
-            assert trace.branch_count == 1
-    # every sector of the large degrees, the fall-through included, was hit
+        _, half = select_seed(d, S, trace)
+        sectors.add((d, sector_index(d, S)))
+        # one half-plane test at every degree: the quadratic's sector rule
+        assert chain(trace) == [("seed_sector_0", sector_index(2, S) == 0)]
+        assert half == sector_index(2, S)
+    # every sector of the large degrees, the last one included, was tried
     assert {(d, k) for d in (16, 64) for k in range(d)} <= sectors
 
 
@@ -421,7 +424,7 @@ def test_pure_power_branch_ceiling_and_residuals() -> None:
         S = random_complex(rng)
         trace = BranchTrace()
         roots = solve_pure_power(d, S, TIGHT, trace)
-        assert trace.branch_count <= d
+        assert trace.branch_count == (1 if S == 0 else 2)
         assert len(roots) == d
         tol = residual_tolerance(d, abs(S), TIGHT.threshold_r)
         for r in roots:
@@ -429,6 +432,31 @@ def test_pure_power_branch_ceiling_and_residuals() -> None:
         # the non-principal roots are unit rotations of the principal one
         moduli = [abs(r) for r in roots]
         assert max(moduli) - min(moduli) <= 1e-12 * max(1.0, max(moduli))
+
+
+def probe_rays(d: int) -> list[Fraction]:
+    """The rays to probe, as arg / pi: every sector edge, then +-i and -1."""
+    return [Fraction(2 * k + 1, d) for k in range(d)] + [
+        Fraction(1, 2), Fraction(-1, 2), Fraction(1)
+    ]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16, 64])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(modulus=st.floats(min_value=1e-30, max_value=1e30))
+def test_scaled_root_is_continuous_off_one_cut(d, modulus) -> None:
+    # One half-plane test picks the root: it is continuous across every
+    # sector edge and across +i and -1, and turns by exactly one d-th root
+    # of unity across the cut just clockwise of -i.
+    delta = 1e-9
+    turn = cmath.exp(2j * math.pi / d)
+    for ray in probe_rays(d):
+        theta = float(ray) * math.pi
+        after = scaled_root(d, cmath.rect(modulus, theta + delta), TIGHT)
+        before = scaled_root(d, cmath.rect(modulus, theta - delta), TIGHT)
+        if (ray + Fraction(1, 2)) % 2 == 0:  # the cut, arg = -pi/2
+            before /= turn
+        assert abs(before - after) <= 1e-6 * abs(after), (d, ray, modulus)
 
 
 def test_pure_power_failure_carries_the_outcome() -> None:
@@ -442,15 +470,6 @@ def test_pure_power_failure_carries_the_outcome() -> None:
 
 
 # ------------------------------------------------- bits of the reference path
-
-def reference_select_seed(d, S, trace=None):
-    """The per-call seed chain: one new node per test, labelled on the spot."""
-    k = sector_index(d, S)
-    if trace is not None:
-        for j in range(min(k, d - 2) + 1):
-            trace.record(f"seed_sector_{j}", j == k)
-    return sector_seed(d, k), k
-
 
 def reference_newton_root(d, radicand, seed, config=None, trace=None):
     """The per-step loop: a computation noted per update, the residual twice."""
@@ -480,8 +499,8 @@ def reference_newton_root(d, radicand, seed, config=None, trace=None):
 def reference_solve_pure_power(d, S, config=None, trace=None):
     """The zero test, ``scaled_root`` and a rotation that calls exp per root.
 
-    Run it with ``newton.select_seed`` and ``newton.newton_root`` patched to
-    the references above, which ``scaled_root`` then calls.
+    Run it with ``newton.newton_root`` patched to the reference above, which
+    ``scaled_root`` then calls.
     """
     S = complex(S)
     if record_decision(trace, "radicand_zero", S == 0):
@@ -514,7 +533,7 @@ def pure_power_inputs(d: int, rng: random.Random) -> list[complex]:
     count = 4 if d == 1023 else 40
     values = [annulus_point(rng, 0.05, 20.0) for _ in range(count)]
     values += [cmath.rect(1.5, (2 * j + 1) * math.pi / d) for j in (0, d // 2, d - 1)]
-    values += [cmath.rect(0.9, -2 * math.pi / d), complex(-3.0, -0.0), 0j]  # fall-through, pi, 0
+    values += [cmath.rect(0.9, -2 * math.pi / d), complex(-3.0, -0.0), 0j]  # last sector, pi, 0
     if d == 1023:  # |S| in [1, 2) is out of range at d = 1023: use 2 |S|
         values = [2 * S if 1 <= abs(S) < 2 else S for S in values]
     return values
@@ -526,14 +545,16 @@ def test_pure_power_keeps_the_bits_of_the_reference_path(d, monkeypatch) -> None
     inputs = pure_power_inputs(d, rng)
     change = [traced(solve_pure_power, d, S, TIGHT) for S in inputs]
     with monkeypatch.context() as patch:
-        patch.setattr(newton, "select_seed", reference_select_seed)
         patch.setattr(newton, "newton_root", reference_newton_root)
         parent = [traced(reference_solve_pure_power, d, S, TIGHT) for S in inputs]
     for S, (roots, decisions, steps), (ref_roots, ref_decisions, ref_steps) in zip(
         inputs, change, parent
     ):
         assert [bits(r) for r in roots] == [bits(r) for r in ref_roots], S
-        assert decisions == ref_decisions, S
+        want = [("radicand_zero", S == 0)]
+        if S != 0:
+            want.append(("seed_sector_0", sector_index(2, S) == 0))
+        assert decisions == ref_decisions == want, S
         assert steps == ref_steps, S
     # The kernel alone, from each input's own seed, on the radical default.
     # Unscaled |S| > 1 at d = 1023 would overshoot to an iterate whose power
@@ -541,9 +562,10 @@ def test_pure_power_keeps_the_bits_of_the_reference_path(d, monkeypatch) -> None
     for S in inputs:
         if S == 0 or (d == 1023 and abs(S) > 1):
             continue
-        seed, _ = select_seed(d, S)
-        out, _, steps = traced(newton_root, d, S, seed, RADICAL_CONFIG)
-        ref, _, ref_steps = traced(reference_newton_root, d, S, seed, RADICAL_CONFIG)
+        seed, half = select_seed(d, S)
+        R = -S if half else S
+        out, _, steps = traced(newton_root, d, R, seed, RADICAL_CONFIG)
+        ref, _, ref_steps = traced(reference_newton_root, d, R, seed, RADICAL_CONFIG)
         assert (bits(out.value), out.iterations, out.reason, steps) == (
             bits(ref.value), ref.iterations, ref.reason, ref_steps
         ), S

@@ -148,8 +148,8 @@ COMMANDS: list[tuple[str, ...]] = [
      "-0.627825,-1.21291"),
     ("solve", "--method", "power-iteration", "--coeffs=-0.432,3.168,-5.628,3.64,-3.7"),
     ("solve", "--method", "power-iteration", "--coeffs=8.487983164e-314,-7.283535870312702e-157"),
-    # the sector chain's fall-through (all tests False) at d = 16 and d = 64,
-    # and a bound table over both degrees
+    # the last sector, just below the positive real axis, at d = 16 and
+    # d = 64, and a bound table over both degrees
     ("solve", "--pure-power", "--d", "16", "--S=0.9238795325112867,-0.3826834323650898"),
     ("solve", "--pure-power", "--d", "64", "--S=1.9903694533443936,-0.19603428065912118"),
     ("bound", "--degrees", "16,64", "--samples", "200", "--rng-seed", "5"),
@@ -163,6 +163,12 @@ COMMANDS: list[tuple[str, ...]] = [
     ("fractal", "--d", "5", *FRACTAL_FILES, "--resolution", "512x512", "--seed", "0,0"),
     ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "512x512", "--max-iters", "1"),
     ("solve", "--pure-power", "--d", "4000", "--S=0.5"),
+    # the half-plane edges: +i (on the left half), -i (where the root's one
+    # cut runs), a third-quadrant radicand at d = 64, and t**2 + 1
+    ("solve", "--pure-power", "--d", "5", "--S=0,1"),
+    ("solve", "--pure-power", "--d", "5", "--S=0,-1"),
+    ("solve", "--pure-power", "--d", "64", "--S=-0.5,-1e-3"),
+    ("solve", "--coeffs=1,0"),
 ]
 
 
