@@ -320,7 +320,13 @@ def build_parser() -> _Parser:
         default=RADICAL_CONFIG.threshold_r,
         help="root tolerance (default 1e-8)",
     )
-    solve.add_argument("--max-iters", type=int, default=RADICAL_CONFIG.max_iters)
+    solve.add_argument(
+        "--max-iters",
+        type=int,
+        default=RADICAL_CONFIG.max_iters,
+        help="Newton step cap per radical, or power-iteration steps per stage"
+        " (default 100)",
+    )
     solve.set_defaults(func=cmd_solve)
 
     frac = sub.add_parser("fractal", help="render an escape-time picture")

@@ -74,13 +74,15 @@ class NoConvergenceError(ArithmeticError):
 
 
 def residual_tolerance(d: int, magnitude: float, threshold_r: float) -> float:
-    """Residual bound |x**d - S| equivalent to landing within threshold_r.
+    """Residual bound |x**d - S| for a converged root, relative to |S|.
 
-    The nominal scale threshold_r**d * d * max(1, |S|) is floored at the
-    double-precision noise of evaluating x**d - S itself, without which tight
-    thresholds or large degrees could never be declared converged.
+    A root off by a relative delta leaves a residual of about d * |S| * delta,
+    so the bound d * |S| * threshold_r**d accepts delta up to threshold_r**d
+    at every scale.  It is floored at 64 * d * eps, the double-precision noise
+    of evaluating x**d - S itself, without which tight thresholds or large
+    degrees could never be declared converged.
     """
-    return d * max(1.0, magnitude) * max(threshold_r ** d, 64.0 * d * _EPS)
+    return magnitude * (d * max(threshold_r ** d, 64.0 * d * _EPS))
 
 
 def newton_root(
@@ -92,15 +94,17 @@ def newton_root(
 ) -> NewtonOutcome:
     """Iterate x <- x - (x**d - S)/(d x**(d-1)) from ``seed``.
 
-    Converged means the step shrank below threshold_r while the residual
-    dropped below ``residual_tolerance``; the value is then within about
-    threshold_r of a true d-th root of S.  An iterate beyond
-    ``DIVERGENCE_BAILOUT``, or one whose (d-1)-th power overflows, has
-    diverged; one whose (d-1)-th power is 0 (the iterate is 0, or the power
-    underflowed) has no finite step and stops at a critical point.  The
-    iteration itself is branch free -- each update is noted as computation,
-    not decision, all at once when the run stops, so the trace's count grows
-    by exactly the returned ``iterations``.
+    Converged means the step shrank below threshold_r times the iterate's
+    modulus while the residual dropped below ``residual_tolerance``: the
+    value is a d-th root of S to a relative error of about max(threshold_r**d,
+    64 * d * eps).  Both tests are relative, so scaling S by 2**(d*m) and the
+    seed by 2**m scales every iterate by 2**m and stops at the same step.
+    An iterate beyond ``DIVERGENCE_BAILOUT``, or one whose (d-1)-th power
+    overflows, has diverged; one whose (d-1)-th power is 0 (the iterate is
+    0, or the power underflowed) has no finite step and stops at a critical
+    point.  The iteration itself is branch free -- each update is noted as
+    computation, not decision, all at once when the run stops, so the
+    trace's count grows by exactly the returned ``iterations``.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
@@ -119,7 +123,7 @@ def newton_root(
             out = NewtonOutcome(x, n, "divergence")
             break
         residual = xp * x - S
-        if abs(step) < threshold_r and abs(residual) < tol:
+        if abs(step) < threshold_r * abs(x) and abs(residual) < tol:
             out = NewtonOutcome(x, n)
             break
         if n == max_iters or xp == 0:  # xp == 0: x is 0 or x**(d-1) underflowed
@@ -144,7 +148,7 @@ def sector_seed(d: int, k: int) -> complex:
     if not 0 <= k < d:
         raise ValueError("sector index out of range")
     if (d, k) == (2, 1):
-        return 1j  # exact: the quadratic's second seed is the literal i
+        return 1j  # exact, for render(sector=1) at d = 2
     return cmath.exp(2j * math.pi * k / (d * d))
 
 
@@ -175,13 +179,14 @@ def select_seed(
 
     ``seed_sector_0`` records the quadratic's rule ``sector_index(2, S) == 0``
     (h = 0) at every degree.  Newton then runs on R = S, or on R = -S when
-    h = 1, from 1 + (R/|R| - 1)/d: continuous in R, it leads to R's principal
-    root.
+    h = 1, from |R|**(1/d) * (1 + (R/|R| - 1)/d): continuous in R, it leads
+    to R's principal root, and has that root's modulus at every scale.
     """
     half = sector_index(2, S)
     record_decision(trace, "seed_sector_0", half == 0)
     R = -S if half else S
-    return 1 + (R / abs(R) - 1) / d, half
+    modulus = abs(R)
+    return modulus ** (1 / d) * (1 + (R / modulus - 1) / d), half
 
 
 @lru_cache(maxsize=16)
@@ -208,24 +213,21 @@ def scaled_root(
     radicand on the positive real axis would, so the decision count of a
     path does not depend on this degeneracy.
 
-    S is divided by an exact power of 2**d chosen to put the magnitude in
-    (2**-(d+1), 1]; the root scales back by the matching power of 2, also
-    exactly.  Scaling by a positive real leaves arg S -- and with it the
-    half-plane decision -- untouched.  The sub-unit window matters: a magnitude
-    above 1 makes the first step overshoot to about |S|/d (losing the seed's
-    angular alignment, and at extreme magnitudes tripping the divergence
-    bailout), while below 1 the orbit stays inside the unit disk and walks
-    down to the root, whose modulus then sits in (0.46, 1).
+    S is divided by the exact power 2**(d*m), where m is e/d rounded to the
+    nearest integer and e is the binary exponent of S's larger part.  The
+    reduced exponent lies in [-d/2, d/2), so the reduced root has a modulus
+    within a factor of about sqrt(2) of 1, and it scales back by 2**m, also
+    exactly.  Scaling by a positive real leaves arg S, and with it the
+    half-plane decision, untouched.  The seed carries the root's modulus, so
+    Newton needs a few steps at any degree and scale, and the caller's
+    max_iters applies as given; the root has the relative accuracy
+    ``newton_root`` states.
 
-    When d > 1022 that window reaches below the smallest normal double and
-    the reduced radicand would silently lose bits; such inputs raise
-    ArithmeticError instead, as does a radicand that is not finite (say an
-    overflowed discriminant), before any decision or step is spent on it.
-
-    That walk takes O(d) steps, so the iteration budget given to the kernel
-    is raised to at least ~4d; the caller's max_iters still applies whenever
-    it is larger.  The power-of-two bookkeeping and the budget are plain
-    computation, not recorded decisions.
+    A radicand that is not finite (say an overflowed discriminant) raises
+    ArithmeticError before any decision or step is spent on it.  Every
+    finite S is answered through d = 2026; above, a reduced S near either end
+    of the double range can overflow it, or Newton's step, and raises
+    ArithmeticError (NoConvergenceError for the step) naming t**d = S.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
@@ -235,25 +237,15 @@ def scaled_root(
         return 0j
     if not cmath.isfinite(S):
         raise ArithmeticError(f"t**{d} = {S!r}: the radicand is not finite")
-    cfg = config or RADICAL_CONFIG
-    floor_iters = 4 * d + 50
-    if cfg.max_iters < floor_iters:
-        cfg = NewtonConfig(cfg.threshold_r, floor_iters)
+    e = math.frexp(max(abs(S.real), abs(S.imag)))[1]
+    m = (2 * e + d) // (2 * d)  # e/d rounded to the nearest integer, halves up
     try:
-        exponent = math.frexp(abs(S))[1]  # |S| in [2**(e-1), 2**e)
-    except OverflowError:  # |S| beyond the double maximum: measure S/2, exactly
-        exponent = math.frexp(abs(complex(S.real / 2, S.imag / 2)))[1] + 1
-    m = -((-exponent) // d)  # ceil(e / d)
-    shift = -d * m
-    if exponent + shift <= -1022:
-        raise ArithmeticError(
-            f"degree {d} too large for t**{d} = {S!r}: the range-reduced"
-            " radicand falls below the smallest normal double"
-        )
-    # Component-wise, so no power of two outside the double range is formed.
-    scaled = complex(math.ldexp(S.real, shift), math.ldexp(S.imag, shift))
-    seed, half = select_seed(d, scaled, trace)
-    out = newton_root(d, -scaled if half else scaled, seed, cfg, trace)
+        # Component-wise, so no power of two outside the double range is formed.
+        scaled = complex(math.ldexp(S.real, -d * m), math.ldexp(S.imag, -d * m))
+        seed, half = select_seed(d, scaled, trace)
+    except OverflowError:  # the reduced S, or its modulus, beyond the largest double
+        raise ArithmeticError(f"t**{d} = {S!r}: S leaves the double range") from None
+    out = newton_root(d, -scaled if half else scaled, seed, config or RADICAL_CONFIG, trace)
     if not out.converged:
         raise NoConvergenceError(out, f"t**{d} = {S!r}")
     root = out.value * _half_turn(d) if half else out.value

@@ -24,8 +24,9 @@ import numpy as np
 import pytest
 
 import polybranch
-from polybranch import MonicPolynomial
+from polybranch import MonicPolynomial, cli
 from polybranch.cli import main, parse_coeffs, solve
+from polybranch.tracing import record_decision
 
 # The directory that holds the imported package.  Children get it as an
 # absolute PYTHONPATH entry, so they import the same code whatever their cwd.
@@ -257,10 +258,11 @@ def test_both_coefficient_forms_share_one_finite_rule(text):
 @pytest.mark.parametrize(
     "args",
     [
-        # degrees whose range-reduced radicand would fall below the smallest
-        # normal double; the error must not blame a zero radicand
-        ("--pure-power", "--d", "1074", "--S=2,0.001"),
-        ("--pure-power", "--d", "1075", "--S=2"),
+        # radicands that no power 2**(d*m) brings into range above d = 2026:
+        # a subnormal one, and one whose modulus is beyond the largest double;
+        # the error names the equation instead of answering a wrong root
+        ("--pure-power", "--d", "2100", "--S=5e-324"),
+        ("--pure-power", "--d", "2055", "--S=1.5e308,1.5e308"),
         ("--coeffs=1,1,1e120",),
         # the discriminant 1e320 - 4 overflows to a non-finite radicand
         ("--coeffs=1,1e160",),
@@ -272,6 +274,32 @@ def test_arithmetic_overflow_is_a_clean_error(args):
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "zero" not in proc.stderr
+    if "--pure-power" in args:
+        assert f"t**{args[2]} = " in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "d, S",
+    [
+        (1023, "1.5"),
+        (1074, "2,0.001"),
+        (1075, "2"),
+        (2000, "3,4"),
+        # a subnormal radicand, and two whose modulus is beyond the largest double
+        (1074, "5e-324"),
+        (1075, "1.5e308,1.5e308"),
+        (1025, "-1.7e308,1.7e308"),
+    ],
+)
+def test_pure_power_answers_at_large_degrees(d, S):
+    proc = run_cli("solve", "--pure-power", "--d", str(d), f"--S={S}")
+    assert proc.returncode == 0
+    roots = roots_as_complex(strict_json(proc.stdout))
+    assert len(roots) == d
+    with mpmath.workdps(30):  # root**d in doubles would overflow or go subnormal
+        radicand = mpmath.mpc(*(float(part) for part in S.split(",")))
+        for root in roots:
+            assert abs(mpmath.mpc(root) ** d - radicand) <= 1e-10 * abs(radicand)
 
 
 @pytest.mark.parametrize(
@@ -576,15 +604,27 @@ def test_bound_table_covers_requested_degrees():
     assert 1 <= rows[2]["measured_branches"] <= 6
 
 
-def test_bound_keeps_its_table_when_a_sample_leaves_the_double_range():
-    # One d = 1023 radicand of this suite would be subnormal after range
-    # reduction; that sample counts the branches it spent, like a run that
-    # did not converge, instead of discarding the table.
+def test_bound_keeps_its_table_when_a_sample_leaves_the_double_range(monkeypatch, capsys):
+    # Every d = 1023 radicand of this suite reduces into range and takes the
+    # family's 2 branches.
     proc = run_cli("bound", "--degrees", "2,1023", "--samples", "10", "--rng-seed", "3")
     assert proc.returncode == 0
     rows = json.loads(proc.stdout)["rows"]
     assert [row["d"] for row in rows] == [2, 1023]
-    assert rows[1]["measured_branches"] <= 2
+    assert rows[1]["measured_branches"] == 2
+    # No disk radicand leaves the range at any degree, so a stand-in solver
+    # does: it spends both branches and raises.  The sample counts the
+    # branches it spent, like a run that did not converge, and the table stays.
+    def out_of_range(d, S, config=None, trace=None):
+        record_decision(trace, "radicand_zero", False)
+        record_decision(trace, "seed_sector_0", True)
+        raise ArithmeticError(f"t**{d} = {S!r}: S leaves the double range")
+
+    monkeypatch.setattr(cli, "solve_pure_power", out_of_range)
+    assert main(["bound", "--degrees", "2,5000", "--samples", "3"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["d"] for row in rows] == [2, 5000]
+    assert rows[1]["measured_branches"] == 2
 
 
 def test_bound_large_degree_uses_pure_power_suite():

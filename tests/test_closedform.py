@@ -287,10 +287,10 @@ def test_solvers_default_to_the_tight_radius() -> None:
 
 
 def test_radical_failure_propagates_as_no_convergence() -> None:
-    # t^2 - 1/2: the square root of the discriminant 2 cannot meet a
+    # t^2 - i/4: the square root of the discriminant i cannot meet a
     # convergence radius below the spacing of doubles near its root.
     with pytest.raises(NoConvergenceError):
-        solve_quadratic(0, -0.5, NewtonConfig(threshold_r=5e-324))
+        solve_quadratic(0, -0.25j, NewtonConfig(threshold_r=5e-324))
     # a radicand that is not finite is rejected before any Newton step
     with pytest.raises(ArithmeticError):
         solve_quadratic(complex(float("nan"), 0), 1)

@@ -588,7 +588,7 @@ def test_annulus_bounds_filter_cells() -> None:
 @pytest.mark.parametrize(
     "d, resolution", [(3, (127, 129)), (6, (127, 129)), (4, (64, 64))], ids=["3", "6", "4"]
 )
-def test_boundary_ray_cells_land_where_the_seed_chain_puts_them(d, resolution) -> None:
+def test_boundary_ray_cells_land_where_sector_index_puts_them(d, resolution) -> None:
     # An odd grid puts cells exactly on the negative real axis (d = 3) or
     # the negative imaginary axis (d = 6), and the 64x64 grid puts 128 on
     # the diagonals that bound the d = 4 sectors; there a plain floor of

@@ -5,8 +5,10 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +95,22 @@ def test_underflowed_power_is_a_critical_point_not_a_division_by_zero() -> None:
     assert 0 < abs(out.value) < 1e-6
     capped = newton_root(64, -63, 1 + 1e-8, NewtonConfig(max_iters=1))
     assert capped == NewtonOutcome(out.value, 1, "max iterations")
+
+
+def test_scaling_by_a_power_of_two_scales_every_iterate() -> None:
+    # Exact powers of two commute with the update, and both stopping tests
+    # are relative, so inside the bailout the run stops at the same step: the
+    # range reduction in scaled_root cannot change how accurate a root comes out.
+    micro = NewtonConfig(threshold_r=1e-6)
+    rng = random.Random(71)
+    for _ in range(200):
+        d = rng.choice((2, 3, 5, 16))
+        S = cmath.rect(rng.uniform(0.25, 4.0), rng.uniform(-math.pi / 2, math.pi / 2))
+        base = newton_root(d, S, 1 + 0j, micro)
+        for m in (-40, -1, 1, 20):
+            scaled = newton_root(d, S * 2.0 ** (d * m), 2.0 ** m, micro)
+            assert scaled.iterations == base.iterations, (d, S, m)
+            assert scaled.value == base.value * 2.0 ** m, (d, S, m)
 
 
 def test_critical_point_is_reported_not_raised() -> None:
@@ -191,16 +209,21 @@ def test_seed_table_matches_the_roots_of_unity_schedule() -> None:
 
 
 def test_select_seed_known_sides() -> None:
-    # The seed is 1 + (R/|R| - 1)/d for R = S on the right half, -S on the left.
+    # The seed is |R|**(1/d) * (1 + (R/|R| - 1)/d) for R = S on the right
+    # half, -S on the left.
     assert select_seed(2, 1) == (1 + 0j, 0)
     assert sector_index(2, 1) == 0
-    assert select_seed(2, -4) == (1 + 0j, 1)  # R = 4
+    assert select_seed(2, -4) == (2 + 0j, 1)  # R = 4
     assert sector_index(2, -4) == 1
     S = 5 * cmath.exp(2j * math.pi / 3)
     assert sector_index(3, S) == 1
     seed, half = select_seed(3, S)
     assert half == 1  # arg S = 2*pi/3 is on the left half
-    assert abs(seed - (1 + (cmath.exp(-1j * math.pi / 3) - 1) / 3)) < 1e-15
+    want = 5 ** (1 / 3) * (1 + (cmath.exp(-1j * math.pi / 3) - 1) / 3)
+    assert abs(seed - want) < 1e-15
+    # the root's modulus at every scale, exactly for powers of 2
+    assert select_seed(4, 2.0 ** -400) == (2.0 ** -100, 0)
+    assert select_seed(2, -(2.0 ** 500)) == (2.0 ** 250, 1)
     # the edges: +i is on the left half, -i on the right
     assert select_seed(5, 1j)[1] == 1
     assert select_seed(5, -1j)[1] == 0
@@ -274,7 +297,7 @@ def test_seed_selection_branch_chain_length() -> None:
     assert {(d, k) for d in (16, 64) for k in range(d)} <= sectors
 
 
-def test_seed_chain_shares_no_mutable_state_between_traces() -> None:
+def test_select_seed_shares_no_mutable_state_between_traces() -> None:
     for d, S in ((2, 1 + 0j), (16, complex(-1, 0.1)), (64, cmath.rect(1, -0.05))):
         first = BranchTrace()
         select_seed(d, S, first)
@@ -338,9 +361,73 @@ def test_scaled_root_extreme_magnitudes() -> None:
         assert abs(value ** d - S) <= 1e-10 * abs(S)
 
 
-def test_scaled_root_large_degree_budget() -> None:
-    value = scaled_root(256, 2 + 1j, TIGHT)
+def test_scaled_root_large_degree_steps() -> None:
+    trace = BranchTrace()
+    value = scaled_root(256, 2 + 1j, TIGHT, trace)
     assert abs(value ** 256 - (2 + 1j)) <= 1e-10 * abs(2 + 1j)
+    assert trace.computation_count == 4
+
+
+# the half-plane edges +-i, -1 with both signed zeros, and every quadrant
+STEP_PHASES = (1, 1j, -1j, complex(-1, 0.0), complex(-1, -0.0), *(
+    cmath.exp(1j * theta) for theta in (0.3, 1.2, 2.0, 2.9, -0.7, -1.9, -2.6)
+))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 16, 64, 256, 1023, 2000])
+def test_scaled_root_steps_do_not_grow_with_degree_or_scale(d) -> None:
+    # The seed carries the root's modulus, so Newton starts next to the root
+    # at every degree and every scale of the double range.
+    for k in range(-1000, 1001, 40):
+        for phase in STEP_PHASES:
+            S = complex(math.ldexp(phase.real, k), math.ldexp(phase.imag, k))
+            trace = BranchTrace()
+            scaled_root(d, S, RADICAL_CONFIG, trace)
+            assert trace.computation_count <= 8, (d, k, phase)
+
+
+def branch_root(d: int, S: complex) -> mpmath.mpc:
+    """The root ``scaled_root`` answers with, at 50 digits."""
+    R = mpmath.mpc(S.real, S.imag)
+    if sector_index(2, S) == 0:
+        return mpmath.root(R, d)
+    return mpmath.exp(1j * mpmath.pi / d) * mpmath.root(-R, d)
+
+
+@pytest.mark.parametrize("d", [1023, 1024, 1025, 1074, 1075, 2000, 2026])
+def test_large_degrees_answer_accurately(d) -> None:
+    # complex(1e-300, 2e-300): a residual bound not relative to |S| would
+    # accept the seed at |S| << 1 off the positive real axis.  1e307j and
+    # -3e306 + 1e306j: left unreduced, d * |S| exceeds the largest double.
+    # The subnormal radicands and those with |S| beyond the largest double
+    # reach the normal range only by rounding e/d to the nearest integer.
+    for S in (
+        1.5, 2 + 0.001j, 3 + 4j, 1e-300, complex(1e-300, 2e-300),
+        complex(-3e300, 1e300), 1e307j, complex(-3e306, 1e306),
+        5e-324, 2e-320j, complex(-2.2e-308, 1e-309),
+        complex(1.5e308, 1.5e308), complex(-1.7e308, 1.7e308), -sys.float_info.max,
+    ):
+        with mpmath.workdps(50):
+            want = complex(branch_root(d, complex(S)))
+        value = scaled_root(d, S, RADICAL_CONFIG)
+        assert abs(value - want) <= 1e-10 * abs(want), (d, S)
+
+
+@pytest.mark.parametrize(
+    "d, S, error, message",
+    [
+        (2100, 5e-324, ArithmeticError, "leaves the double range"),
+        (2055, complex(1.5e308, 1.5e308), ArithmeticError, "leaves the double range"),
+        (2040, complex(-3e306, 1e306), NoConvergenceError, "max iterations"),
+        (4000, 5e-324, NoConvergenceError, "max iterations"),
+    ],
+)
+def test_radicands_out_of_reach_raise_naming_the_equation(d, S, error, message) -> None:
+    # Above d = 2026 the reduced exponent, in [-d/2, d/2), can put a radicand
+    # near either end of the double range outside it, or overflow Newton's
+    # step there; these fail instead of answering a wrong root.
+    with pytest.raises(error, match=rf"t\*\*{d} = .*{message}"):
+        scaled_root(d, S, RADICAL_CONFIG)
 
 
 def test_scaling_by_powers_of_two_preserves_decisions() -> None:
@@ -461,9 +548,10 @@ def test_scaled_root_is_continuous_off_one_cut(d, modulus) -> None:
 
 def test_pure_power_failure_carries_the_outcome() -> None:
     # A convergence radius below the spacing of doubles near sqrt(2)/2 can
-    # never be met: the iterate ends up alternating between neighbours.
+    # never be met: the iterate for sqrt(-i) ends up alternating between
+    # neighbours.
     with pytest.raises(NoConvergenceError) as info:
-        solve_pure_power(2, 2, NewtonConfig(threshold_r=5e-324))
+        solve_pure_power(2, 1j, NewtonConfig(threshold_r=5e-324))
     assert isinstance(info.value, ArithmeticError)  # as scaled_root's range errors
     assert info.value.outcome.converged is False
     assert info.value.outcome.reason == "max iterations"
@@ -483,7 +571,7 @@ def reference_newton_root(d, radicand, seed, config=None, trace=None):
             xp = x ** (d - 1)
         except OverflowError:
             return NewtonOutcome(x, n, "divergence")
-        if abs(step) < cfg.threshold_r and abs(xp * x - S) < tol:
+        if abs(step) < cfg.threshold_r * abs(x) and abs(xp * x - S) < tol:
             return NewtonOutcome(x, n)
         if x == 0 or n == cfg.max_iters:
             break
@@ -534,8 +622,6 @@ def pure_power_inputs(d: int, rng: random.Random) -> list[complex]:
     values = [annulus_point(rng, 0.05, 20.0) for _ in range(count)]
     values += [cmath.rect(1.5, (2 * j + 1) * math.pi / d) for j in (0, d // 2, d - 1)]
     values += [cmath.rect(0.9, -2 * math.pi / d), complex(-3.0, -0.0), 0j]  # last sector, pi, 0
-    if d == 1023:  # |S| in [1, 2) is out of range at d = 1023: use 2 |S|
-        values = [2 * S if 1 <= abs(S) < 2 else S for S in values]
     return values
 
 
@@ -557,10 +643,8 @@ def test_pure_power_keeps_the_bits_of_the_reference_path(d, monkeypatch) -> None
         assert decisions == ref_decisions == want, S
         assert steps == ref_steps, S
     # The kernel alone, from each input's own seed, on the radical default.
-    # Unscaled |S| > 1 at d = 1023 would overshoot to an iterate whose power
-    # underflows: the exit the reference loop divides by zero at (below).
     for S in inputs:
-        if S == 0 or (d == 1023 and abs(S) > 1):
+        if S == 0:
             continue
         seed, half = select_seed(d, S)
         R = -S if half else S

@@ -169,6 +169,11 @@ COMMANDS: list[tuple[str, ...]] = [
     ("solve", "--pure-power", "--d", "5", "--S=0,-1"),
     ("solve", "--pure-power", "--d", "64", "--S=-0.5,-1e-3"),
     ("solve", "--coeffs=1,0"),
+    # degrees above 1022, where range reduction leaves the radicand at or
+    # near its own scale, and a step cap of 3 at d = 64
+    ("solve", "--pure-power", "--d", "1023", "--S=1.5"),
+    ("solve", "--pure-power", "--d", "2000", "--S=3,4"),
+    ("solve", "--pure-power", "--d", "64", "--S=-3,0.5", "--max-iters", "3"),
 ]
 
 
