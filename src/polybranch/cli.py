@@ -37,6 +37,11 @@ _COINCIDENT_ROOTS = (
     " guaranteed distinct-root domain"
 )
 
+_INACCURATE_ROOTS = (
+    "a root's Newton correction |p(z)/p'(z)| exceeds 1e-7 |z|; the closed"
+    " form lost accuracy to cancellation or underflow"
+)
+
 _DISK_RADIUS = 10.0
 
 # fractal imports numpy, so only cmd_fractal imports it.  Its four names stay
@@ -118,7 +123,12 @@ def solve(
     coefficient above a0 zero) or "power-iteration"; ``config`` defaults to
     ``RADICAL_CONFIG``, as the command's flags do.  Roots that coincide within
     ``REPEATED_ROOT_TOL``, relative to their modulus, add a warning, since
-    the input then sits outside the distinct-root domain.
+    the input then sits outside the distinct-root domain.  A closed-form
+    root z with |p(z)| > 1e-7 |z| |p'(z)| adds a warning too: its Newton
+    correction exceeds 1e-7 of its modulus (written without a division, so
+    z = 0 and p'(z) = 0 are covered), and the formulas lost it to
+    cancellation or underflow.  The ``solve`` command exits 2 when the
+    report carries any warning.
     """
     config = config or RADICAL_CONFIG
     if method == "power-iteration":
@@ -154,6 +164,11 @@ def solve(
         )
     if has_repeated_roots(report.roots):
         report = replace(report, warnings=report.warnings + (_COINCIDENT_ROOTS,))
+    if method == "closed-form" and any(
+        r > 1e-7 * abs(z) * abs(poly.derivative_at(z))
+        for z, r in zip(report.roots, report.residuals)
+    ):
+        report = replace(report, warnings=report.warnings + (_INACCURATE_ROOTS,))
     return report
 
 

@@ -17,6 +17,9 @@ Numerical guards (an unusably small u, a resolvent branch whose offset
 collapses) are plumbing, not decision nodes: they re-route to algebraically
 equivalent values without consulting any quantity an adversarial input could
 not already force.  A radicand of exactly 0 is handled by ``scaled_root``.
+Every guard and test compares terms of one degree in the roots, with no
+absolute floor, so t -> 2**k t multiplies the roots by 2**k and leaves the
+decision list as it is, wherever no intermediate leaves the double range.
 """
 
 from __future__ import annotations
@@ -58,8 +61,7 @@ def solve_cubic(
     # When u is too small to divide by, p is forced small too, so an
     # independent radical for v is safe: the pairing error it could introduce
     # is proportional to p.  The size test is plumbing, not a decision.
-    scale = max(1.0, abs(q), abs(root_disc))
-    if abs(u) ** 3 > 1e-18 * scale:
+    if abs(u) ** 3 > 1e-18 * max(abs(q), abs(root_disc)):
         v = -p / (3 * u)
     else:
         v = scaled_root(3, -q / 2 - root_disc, config, trace)
@@ -84,10 +86,7 @@ def solve_quartic(
     """Roots of t**4 + a3 t**3 + a2 t**2 + a1 t + a0.  At most six decisions.
 
     ``p``/``q`` are the depressed quartic's quadratic/linear coefficients and
-    ``delta0``/``delta1`` the two classical invariants.  The nested square
-    root and cube root of the invariants spend 2 branches, the degenerate
-    test of that cube radical 1, and off the degenerate path the offset's
-    square root and the two final square roots 3 more.  On the degenerate
+    ``delta0``/``delta1`` the two classical invariants.  On the degenerate
     path (vanishing cube radical, i.e. a root of multiplicity >= 3) the roots
     are rational in the coefficients and no further radical is spent.
     """
@@ -104,13 +103,14 @@ def solve_quartic(
     inner = scaled_root(2, delta1 * delta1 - 4 * delta0 ** 3, config, trace)
     big_q = scaled_root(3, (delta1 + inner) / 2, config, trace)
     shift = a3 / 4
+    # big_q and both bounds scale as the roots squared; <= takes delta0 = delta1 = 0.
     if record_decision(
         trace,
         "resolvent_radical_zero",
-        abs(big_q) < 1e-10 * max(1.0, abs(delta1)) ** (1.0 / 3.0),
+        abs(big_q) <= 1e-10 * max(abs(delta1) ** (1.0 / 3.0), math.sqrt(abs(delta0))),
     ):
         # triple root rho = -3q/(4p); p ~ 0 forces the quadruple root -a3/4
-        if abs(p) <= 1e-12 * max(1.0, abs(a3) ** 2, abs(a2)):
+        if abs(p) <= 1e-12 * max(abs(a3) ** 2, abs(a2)):
             r = -shift
             return (r, r, r, r)
         rho = -3 * q / (4 * p)

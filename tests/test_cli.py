@@ -11,9 +11,12 @@ PATH.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 
 import polybranch
-from polybranch import MonicPolynomial, cli
+from polybranch import MonicPolynomial, cli, roots_to_poly
 from polybranch.cli import main, parse_coeffs, solve
 from polybranch.tracing import record_decision
 
@@ -440,6 +443,75 @@ def test_double_root_warns_once():
     proc = run_cli("solve", "--coeffs=1,2")
     assert proc.returncode == 2
     assert sum("coincide" in w for w in json.loads(proc.stdout)["warnings"]) == 1
+
+
+@pytest.mark.parametrize(
+    "coeffs, want, branches",
+    [
+        # the cubic's first cube root is usable at every scale
+        ("-6e-18,1.1e-11,-6e-6", (1e-6, 2e-6, 3e-6), 2),
+        # the resolvent's cube root is not zero at every scale
+        ("2.4e-23,-5e-17,3.5e-11,-1e-5", (1e-6, 2e-6, 3e-6, 4e-6), 6),
+    ],
+)
+def test_small_roots_take_the_path_of_roots_of_modulus_one(coeffs, want, branches):
+    proc = run_cli("solve", f"--coeffs={coeffs}")
+    assert proc.returncode == 0
+    payload = strict_json(proc.stdout)
+    assert payload["warnings"] == []
+    assert payload["branch_count"] == branches
+    got = sorted(roots_as_complex(payload), key=lambda z: z.real)
+    assert all(abs(g - w) <= 1e-9 * w for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("coeffs", ["1,1e10", "-1,1e8,0"])
+def test_an_inaccurate_closed_form_root_is_flagged(coeffs):
+    # Cancellation in (-a1 + s)/2, and in u + v - shift, loses the small
+    # roots (-1e-10, and 1e-8); their Newton corrections give them away.
+    proc = run_cli("solve", f"--coeffs={coeffs}")
+    assert proc.returncode == 2
+    warnings = strict_json(proc.stdout)["warnings"]
+    assert len(warnings) == 1 and "Newton correction" in warnings[0]
+
+
+def mpmath_roots(coeffs):
+    """Roots at 50 digits, solved for t / scale with scale = max |a_j|^(1/(d-j)):
+    ``polyroots`` stops on an absolute test, which is met at once at 1e-50."""
+    d = len(coeffs)
+    with mpmath.workdps(50):
+        cs = [mpmath.mpc(c.real, c.imag) for c in coeffs]
+        scale = max(abs(c) ** (mpmath.mpf(1) / (d - j)) for j, c in enumerate(cs))
+        full = [1] + [cs[j] / scale ** (d - j) for j in range(d - 1, -1, -1)]
+        found = mpmath.polyroots(full, maxsteps=200, extraprec=100)
+        return [complex(z * scale) for z in found]
+
+
+@pytest.mark.parametrize("exponent", [-100, -50, -30, -10, -6, 0, 10, 50])
+def test_closed_form_roots_are_accurate_or_flagged_at_every_scale(exponent):
+    # 50 cubics and 50 quartics with roots of modulus 10^exponent * 10^U(-1, 1)
+    # and uniform phase.  Each answer is within 1e-6 relative of mpmath, or
+    # carries a warning, or is a clean error: from about 1e50 on the
+    # quartic's delta1**2 leaves the double range.
+    rng = random.Random(exponent)
+    for degree in (3, 4):
+        for _ in range(50):
+            chosen = [
+                cmath.rect(10 ** (exponent + rng.uniform(-1, 1)), rng.uniform(-math.pi, math.pi))
+                for _ in range(degree)
+            ]
+            poly = roots_to_poly(tuple(chosen))
+            try:
+                report = solve(poly)
+            except ArithmeticError:
+                continue
+            if report.warnings:
+                continue
+            want = mpmath_roots(poly.coeffs)
+            error = min(
+                max(abs(g - w) / abs(w) for g, w in zip(order, want))
+                for order in itertools.permutations(report.roots)
+            )
+            assert error <= 1e-6, (poly.coeffs, report.roots, want)
 
 
 def test_fractal_writes_ppm_and_sector_stats(tmp_path):

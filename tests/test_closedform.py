@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import struct
 
 import mpmath
 import numpy as np
@@ -211,6 +212,48 @@ def test_quartic_branch_ceiling_over_random_inputs() -> None:
         trace = BranchTrace()
         solve_quartic(a3, a2, a1, a0, TIGHT, trace)
         assert trace.branch_count <= 6
+
+
+# --------------------------------------------------------------------- scale
+
+def ldexp_complex(z: complex, e: int) -> complex:
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
+def root_bits(roots) -> list[bytes]:
+    return [struct.pack("<dd", z.real, z.imag) for z in roots]
+
+
+def test_a_solve_commutes_with_scaling_by_a_power_of_two() -> None:
+    # t -> 2**k t multiplies a_j by 2**(k (d - j)).  Every guard compares
+    # terms of one degree in the roots, so the roots come back times 2**k,
+    # bit for bit, with the same decision list.
+    guards = [
+        (4, 6, 4, 1),  # (t + 1)^4, the quadruple-root test
+        (0, -6, 8, -3),  # (t - 1)^3 (t + 3), the triple-root path
+        (0, 0, 0, 0),  # t^4
+        (0, 0, 0, -1),  # t^4 - 1
+        (0, 1e-13, 2),  # the cubic's second cube root
+    ]
+    rng = random.Random(18)
+    cases = [tuple(complex(a) for a in row) for row in guards]
+    for degree in (2, 3, 4):
+        for _ in range(100):
+            chosen = [
+                cmath.rect(10 ** rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi))
+                for _ in range(degree)
+            ]
+            cases.append(roots_to_poly(tuple(chosen)).coeffs[::-1])
+    for row in cases:
+        solver = SOLVERS[len(row)]
+        base_trace = BranchTrace()
+        base = solver(*row, TIGHT, base_trace)
+        for k in (-60, -37, -20, -7, -1, 1, 5, 19, 40, 60):
+            trace = BranchTrace()
+            scaled = [ldexp_complex(a, k * (i + 1)) for i, a in enumerate(row)]
+            roots = solver(*scaled, TIGHT, trace)
+            assert trace.decisions == base_trace.decisions, (row, k)
+            assert root_bits(roots) == root_bits(ldexp_complex(z, k) for z in base), (row, k)
 
 
 # ------------------------------------------------------- cross-degree sweeps

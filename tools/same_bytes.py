@@ -174,6 +174,13 @@ COMMANDS: list[tuple[str, ...]] = [
     ("solve", "--pure-power", "--d", "1023", "--S=1.5"),
     ("solve", "--pure-power", "--d", "2000", "--S=3,4"),
     ("solve", "--pure-power", "--d", "64", "--S=-3,0.5", "--max-iters", "3"),
+    # roots (1, 2, 3) * 1e-6 and (1, 2, 3, 4) * 1e-6, where an absolute floor
+    # once changed the closed forms' path, and two spread polynomials whose
+    # small root the closed form loses and flags
+    ("solve", "--coeffs=-6e-18,1.1e-11,-6e-6"),
+    ("solve", "--coeffs=2.4e-23,-5e-17,3.5e-11,-1e-5"),
+    ("solve", "--coeffs=1,1e10"),
+    ("solve", "--coeffs=-1,1e8,0"),
 ]
 
 
