@@ -174,8 +174,12 @@ def solve(
 
 def cmd_solve(args: argparse.Namespace) -> int:
     config = NewtonConfig(threshold_r=args.epsilon, max_iters=args.max_iters)
-    method = "pure-power" if args.pure_power else args.method
-    if method == "pure-power" and (args.d is not None or args.S is not None):
+    if args.pure_power and args.method not in (None, "pure-power"):
+        raise ValueError(f"--pure-power contradicts --method {args.method}")
+    method = "pure-power" if args.pure_power else args.method or "closed-form"
+    if args.d is not None or args.S is not None:
+        if method != "pure-power":
+            raise ValueError(f"--d and --S are for pure-power, not {method}")
         if args.d is None or args.S is None:
             raise ValueError("--d and --S go together")
         if args.coeffs is not None:
@@ -320,7 +324,6 @@ def build_parser() -> _Parser:
     solve.add_argument(
         "--method",
         choices=["closed-form", "power-iteration", "pure-power"],
-        default="closed-form",
     )
     solve.add_argument(
         "--pure-power",

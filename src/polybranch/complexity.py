@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 
 def _cbrt(x: float) -> float:
-    """Cube root of x >= 1 with exact integer cubes snapped (pow alone drifts)."""
+    """Cube root of x >= 1: pow, which drifts, then two Newton polish steps,
+    which return every integer cube n**3 < 2**53 as exactly n."""
     c = x ** (1.0 / 3.0)
-    # two Newton polish steps keep the result within an ulp
     c = (2.0 * c + x / (c * c)) / 3.0
-    c = (2.0 * c + x / (c * c)) / 3.0
-    n = round(c)
-    return float(n) if n * n * n == x else c
+    return (2.0 * c + x / (c * c)) / 3.0
 
 
 def smale_bound(degree: int) -> float:

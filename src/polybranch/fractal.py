@@ -8,6 +8,14 @@ PPM with a dark-purple-to-yellow ramp for converged cells -- darker is
 faster -- and light blue for cells that never made it; an optional plain PGM
 of raw iteration counts supports diffing.
 
+The plane of right-hand sides S splits into d angular sectors of width
+2*pi/d; sector k (centered at angle 2*pi*k/d) is served by the seed
+exp(2j*pi*k/d**2).  Rotating S by exp(-2j*pi*k/d) conjugates the Newton map
+exactly onto the seed-1 iteration, so ``render(sector=k)`` iterates seed 1
+in the rotated frame, and one calibrated sector -- the one around the
+positive real axis, forced by conjugation symmetry and by monotone
+convergence on that axis -- determines all the others.
+
 Rendering is one call of the elementwise kernel ``escape_times`` on the
 whole grid.  A grid of at least 65536 live cells is split into interleaved
 lane sets, one per usable CPU and at most one per 32768 lanes, each stepped

@@ -1,12 +1,5 @@
 """Seeded Newton iteration for t**d = S, with branch-counted seed selection.
 
-The plane of right-hand sides S splits into d angular sectors of width
-2*pi/d; sector k (centered at angle 2*pi*k/d) is served by the seed
-exp(2j*pi*k/d**2).  Rotating S by exp(-2j*pi*k/d) conjugates the Newton map
-exactly onto the seed-1 iteration, which is why one calibrated sector -- the
-one around the positive real axis, forced by conjugation symmetry and by
-monotone convergence on that axis -- determines all the others.
-
 A radical needs no sector, only a half-plane: t -> t**d covers the punctured
 plane, and a half-plane is simply connected, so each half-plane carries a
 continuous d-th root (Schwarz genus 2 for every d; Smale, "On the topology
@@ -98,7 +91,8 @@ def newton_root(
     modulus while the residual dropped below ``residual_tolerance``: the
     value is a d-th root of S to a relative error of about max(threshold_r**d,
     64 * d * eps).  Both tests are relative, so scaling S by 2**(d*m) and the
-    seed by 2**m scales every iterate by 2**m and stops at the same step.
+    seed by 2**m scales every iterate by 2**m and stops at the same step,
+    as long as every iterate stays under the absolute ``DIVERGENCE_BAILOUT``.
     An iterate beyond ``DIVERGENCE_BAILOUT``, or one whose (d-1)-th power
     overflows, has diverged; one whose (d-1)-th power is 0 (the iterate is
     0, or the power underflowed) has no finite step and stops at a critical

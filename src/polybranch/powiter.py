@@ -170,7 +170,7 @@ def power_iterate(
             b = b_new
             if step < tol:
                 lam = complex(np.vdot(b, w))  # b is unit
-                converged = _norm(w - lam * b) <= tol * max(fro, 1.0)
+                converged = _norm(w - lam * b) <= tol * fro
                 if converged:
                     break
     return PowerIterResult(

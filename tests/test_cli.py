@@ -206,6 +206,10 @@ def test_usage_errors_exit_one():
         ("solve", "--pure-power"),
         ("solve", "--coeffs=1,2,3;"),
         ("solve", "--coeffs=;"),
+        ("solve", "--coeffs=1,2", "--d", "5"),
+        ("solve", "--method", "power-iteration", "--coeffs=1,2", "--S=3"),
+        ("solve", "--pure-power", "--method", "power-iteration", "--d", "3", "--S=8"),
+        ("solve", "--pure-power", "--method", "closed-form", "--d", "3", "--S=8"),
         ("fractal", "--d", "1", "--out", "o.ppm"),
         ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "512"),
         ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "0x5"),
@@ -216,6 +220,7 @@ def test_usage_errors_exit_one():
 )
 def test_input_errors_through_main_are_one_line(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("solved a refused input"))
     assert main(list(argv)) == 1
     out, err = capsys.readouterr()
     assert out == ""

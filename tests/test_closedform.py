@@ -145,7 +145,7 @@ def test_quartic_resolvent_values_for_fourth_roots_of_unity() -> None:
     # degenerate test to the offset and the two final square roots.
     trace = BranchTrace()
     solve_quartic(0, 0, 0, -1, TIGHT, trace)
-    assert [(d.label, d.value) for d in trace.decisions] == [
+    assert trace.decisions == [
         ("seed_sector_0", True),
         ("seed_sector_0", True),
         ("resolvent_radical_zero", False),
@@ -160,7 +160,7 @@ def test_quartic_resolvent_detects_quadruple_root() -> None:
     solve_quartic(4, 6, 4, 1, TIGHT, trace)  # (t + 1)^4
     # two radicals of zero, then the degenerate test, which holds
     assert trace.labels() == ["seed_sector_0", "seed_sector_0", "resolvent_radical_zero"]
-    assert trace.decisions[-1].value is True
+    assert trace.decisions[-1][1] is True
 
 
 def test_quartic_known_factorizations() -> None:

@@ -14,6 +14,7 @@ from polybranch import (
     smale_bound,
     verify_lemma_claim,
 )
+from polybranch.complexity import _cbrt
 
 
 def dp_max_pairs(budget: int) -> int:
@@ -49,6 +50,15 @@ def test_smale_bound_keeps_the_bits_of_the_signed_cube_root() -> None:
     for d in (*range(2, 2**16 + 1), *(2**j for j in range(17, 200))):
         lg = math.log2(d)
         assert smale_bound(d).hex() == (reference_cbrt(lg * lg) - 1.0).hex(), d
+
+
+def test_cube_root_is_exact_on_every_integer_cube_below_2_to_the_53() -> None:
+    # Every (log2 d)^2 the CLI can parse is below 2**53 (d has at most 4300 digits).
+    n = 1
+    while n**3 < 2**53:
+        assert _cbrt(float(n**3)) == n, n
+        n += 1
+    assert n == 208064
 
 
 def test_smale_bound_known_values() -> None:

@@ -268,11 +268,7 @@ def test_sector_boundaries_are_half_open() -> None:
         sector_index(2, 0)
 
 
-def chain(trace: BranchTrace) -> list[tuple[str, bool]]:
-    return [(x.label, x.value) for x in trace.decisions]
-
-
-def test_seed_selection_branch_chain_length() -> None:
+def test_seed_selection_records_one_half_plane_test() -> None:
     rng = random.Random(56)
     inputs = []
     for _ in range(300):
@@ -291,7 +287,7 @@ def test_seed_selection_branch_chain_length() -> None:
         _, half = select_seed(d, S, trace)
         sectors.add((d, sector_index(d, S)))
         # one half-plane test at every degree: the quadratic's sector rule
-        assert chain(trace) == [("seed_sector_0", sector_index(2, S) == 0)]
+        assert trace.decisions == [("seed_sector_0", sector_index(2, S) == 0)]
         assert half == sector_index(2, S)
     # every sector of the large degrees, the last one included, was tried
     assert {(d, k) for d in (16, 64) for k in range(d)} <= sectors
@@ -301,13 +297,13 @@ def test_select_seed_shares_no_mutable_state_between_traces() -> None:
     for d, S in ((2, 1 + 0j), (16, complex(-1, 0.1)), (64, cmath.rect(1, -0.05))):
         first = BranchTrace()
         select_seed(d, S, first)
-        expected = chain(first)
+        expected = list(first.decisions)
         first.decisions.append(first.decisions[-1])
         first.decisions[0] = first.decisions[-1]
         first.record("radicand_zero", True)
         second = BranchTrace()
         select_seed(d, S, second)
-        assert chain(second) == expected
+        assert second.decisions == expected
         assert second.decisions is not first.decisions
 
 
@@ -450,7 +446,7 @@ def test_scaled_root_of_zero_records_sector_0() -> None:
             trace = BranchTrace()
             value = scaled_root(d, S, TIGHT, trace)
             assert value == 0j
-            assert [(x.label, x.value) for x in trace.decisions] == [("seed_sector_0", True)]
+            assert trace.decisions == [("seed_sector_0", True)]
             assert trace.computation_count == 0
 
 
@@ -614,7 +610,7 @@ def traced(fn, *args):
     """Run ``fn(*args, trace)`` and return its result with the trace's record."""
     trace = BranchTrace()
     result = fn(*args, trace)
-    return result, chain(trace), trace.computation_count
+    return result, trace.decisions, trace.computation_count
 
 
 def pure_power_inputs(d: int, rng: random.Random) -> list[complex]:

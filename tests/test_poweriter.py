@@ -194,6 +194,11 @@ def test_power_iterate_keeps_the_bits_of_the_reference_loop_at_the_edges() -> No
     assert_same_bits(companion(MonicPolynomial((1e200, 0))))  # overflow break
     for max_iters in (0, 1):
         assert_same_bits(companion(MonicPolynomial((2, -3))), max_iters=max_iters)
+    # 1x1 companions, where ||F|| = |a0| may lie far below the reference's floor of 1
+    for a0 in (0.3, -1e-200, 2.5 + 1j, 1e-5j, 7):
+        F = companion(MonicPolynomial((a0,)))
+        assert abs(assert_same_bits(F) + a0) <= 1e-15 * abs(a0)
+        assert power_iterate(F).converged
     for run in (power_iterate, reference_power_iterate):
         with pytest.raises(ZeroEigenvalueError):
             run(companion(MonicPolynomial((0, 0))))

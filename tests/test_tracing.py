@@ -19,7 +19,8 @@ def test_record_appends_and_returns_value() -> None:
     assert record_decision(trace, "re_omega_neg", True) is True
     assert trace.branch_count == 1
     assert trace.labels() == ["re_omega_neg"]
-    assert trace.decisions[0].value is True
+    assert trace.decisions[0] == ("re_omega_neg", True)
+    assert trace.decisions[0][1] is True
 
     for k in range(3):
         trace.record(f"extra_{k}", False)

@@ -181,6 +181,16 @@ COMMANDS: list[tuple[str, ...]] = [
     ("solve", "--coeffs=2.4e-23,-5e-17,3.5e-11,-1e-5"),
     ("solve", "--coeffs=1,1e10"),
     ("solve", "--coeffs=-1,1e8,0"),
+    # power iteration deflating by a huge root: the small root comes back as
+    # -0.0 (exit 0), and a NaN from the polish of p at z ~ -1.1e154 (exit 1)
+    ("solve", "--method", "power-iteration", "--coeffs=1,1e10"),
+    ("solve", "--method", "power-iteration", "--coeffs=1,1.2e154"),
+    ("solve", "--method", "power-iteration", "--coeffs=1,1,1.1e154"),
+    # flags the chosen method has no use for are usage errors
+    ("solve", "--coeffs=1,2", "--d", "5"),
+    ("solve", "--method", "power-iteration", "--coeffs=1,2", "--S=3"),
+    ("solve", "--pure-power", "--method", "power-iteration", "--d", "3", "--S=8"),
+    ("solve", "--pure-power", "--method", "closed-form", "--d", "3", "--S=8"),
 ]
 
 
