@@ -325,10 +325,14 @@ def render(
 
 def write_image(grid: FractalGrid, path: str | os.PathLike) -> None:
     """Write a binary PPM (P6): colormap by iterations/max_iters, light blue
-    for non-converged cells."""
+    for non-converged cells.
+
+    The colour lookup is a ``take`` over the colormap's rows: the gather of
+    ``COLORMAP[idx]``, which numpy runs several times faster as a ``take``.
+    """
     scale = max(grid.max_iters, 1)
     idx = np.rint(np.clip(grid.iterations, 0, scale) * (255.0 / scale)).astype(np.int64)
-    rgb = COLORMAP[idx]
+    rgb = COLORMAP.take(idx, axis=0)
     rgb[~grid.converged] = DIVERGED_COLOR
     header = f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
@@ -346,18 +350,19 @@ def pgm_maxval(max_iters: int) -> int:
 def write_pgm(grid: FractalGrid, path: str | os.PathLike) -> None:
     """Write a plain PGM (P2) of raw iteration counts, maxval = max_iters.
 
-    Each count is looked up in a table of byte tokens "v " (the last column
-    "v\\n"), NUL-padded to one width; dropping the NULs leaves the text.
+    Each count is looked up, by a ``take``, in a table of byte tokens "v "
+    (the last column "v\\n"), NUL-padded to one width; deleting the NULs
+    with ``bytes.translate`` leaves the text.
     """
     header = f"P2\n{grid.width} {grid.height}\n{pgm_maxval(grid.max_iters)}\n"
     its = grid.iterations
     lo = int(its.min())
     values = range(lo, int(its.max()) + 1)
-    cells = np.array([f"{v} " for v in values], dtype=np.bytes_)[its - lo]
-    cells[:, -1] = np.array([f"{v}\n" for v in values], dtype=np.bytes_)[its[:, -1] - lo]
+    cells = np.array([f"{v} " for v in values], dtype=np.bytes_).take(its - lo)
+    cells[:, -1] = np.array([f"{v}\n" for v in values], dtype=np.bytes_).take(its[:, -1] - lo)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(cells.tobytes().replace(b"\0", b""))
+        fh.write(cells.tobytes().translate(None, b"\0"))
 
 
 def sector_statistics(
@@ -389,8 +394,9 @@ def sector_statistics(
     # boundary ray across it; such cells take the sector ``sector_index``
     # gives them.
     on_edge = mask & (np.abs(position - np.rint(position)) < 1e-9)
-    for r, c in zip(*np.nonzero(on_edge)):
-        sectors[r, c] = sector_index(d, complex(S[r, c]))
+    if on_edge.any():
+        for r, c in zip(*np.nonzero(on_edge)):
+            sectors[r, c] = sector_index(d, complex(S[r, c]))
     out: list[dict] = []
     for k in range(d):
         sel = mask & (sectors == k)

@@ -592,6 +592,19 @@ def test_fractal_pgm_cap_beyond_the_netpbm_maxval_is_an_error(tmp_path):
     assert (tmp_path / "x.pgm").read_text().split()[3] == "65535"
 
 
+def test_a_grid_too_large_to_allocate_is_a_clean_error(tmp_path):
+    # 4e6 x 4e6 complex cell centers need 233 TiB: more than RAM plus swap
+    # and more than a 47-bit address space, so the allocation fails before
+    # any page is touched.
+    args = ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "4000000x4000000")
+    proc = run_cli(*args, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fractal_is_deterministic_across_runs_and_worker_counts(tmp_path):
     outputs = []
     stdouts = []

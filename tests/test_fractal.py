@@ -493,6 +493,41 @@ def test_ppm_pixels_scale_monotonically_with_duration(tmp_path) -> None:
     assert lum[-1] > lum[0]
 
 
+def reference_ppm(grid: FractalGrid) -> bytes:
+    """A frozen copy of the PPM writer as it stood with a fancy-index gather."""
+    scale = max(grid.max_iters, 1)
+    idx = np.rint(np.clip(grid.iterations, 0, scale) * (255.0 / scale)).astype(np.int64)
+    rgb = COLORMAP[idx]
+    rgb[~grid.converged] = DIVERGED_COLOR
+    return f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii") + rgb.tobytes()
+
+
+@pytest.mark.parametrize("max_iters", [1, 7, 255, 256, 1000, 65535])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (9, 13)])
+def test_ppm_bytes_match_the_fancy_index_writer(tmp_path, max_iters, shape) -> None:
+    rng = np.random.default_rng(max_iters * 1000 + shape[0] * 31 + shape[1])
+    # Counts from below 0 to above the cap, so the clip is exercised.
+    iterations = rng.integers(-3, max_iters + 4, size=shape).astype(np.int32)
+    masks = {
+        "all diverged": np.zeros(shape, dtype=bool),
+        "mixed": rng.random(shape) < 0.5,
+        "all converged": np.ones(shape, dtype=bool),
+    }
+    for name, converged in masks.items():
+        grid = synthetic_grid(iterations, converged, max_iters=max_iters)
+        path = tmp_path / "frame.ppm"
+        write_image(grid, path)
+        assert path.read_bytes() == reference_ppm(grid), name
+
+
+def test_a_rendered_ppm_matches_the_fancy_index_writer(tmp_path) -> None:
+    grid = render(5, resolution=(64, 64), config=NewtonConfig(max_iters=40))
+    assert grid.converged.any() and not grid.converged.all()
+    path = tmp_path / "frame.ppm"
+    write_image(grid, path)
+    assert path.read_bytes() == reference_ppm(grid)
+
+
 def test_pgm_round_trip(tmp_path) -> None:
     iterations = np.array([[0, 3], [7, 100]], dtype=np.int64)
     converged = np.array([[True, True], [True, False]])
@@ -516,6 +551,8 @@ def test_pgm_round_trip(tmp_path) -> None:
         (np.full((4, 3), 7, dtype=np.int32), 100),  # min = max
         (np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int32), 1),
         (np.array([[0, 7, 42], [999, 1000, 3]], dtype=np.int32), 1000),  # 1 to 4 digits
+        # 1- and 5-digit counts: most of each 6-byte token is NUL
+        (np.array([[0, 3, 9, 65535], [65534, 1, 2, 8], [4, 10000, 5, 7]], dtype=np.int32), 65535),
     ],
 )
 def test_pgm_bytes_match_a_reference_formatter(tmp_path, iterations, max_iters) -> None:

@@ -191,6 +191,12 @@ COMMANDS: list[tuple[str, ...]] = [
     ("solve", "--method", "power-iteration", "--coeffs=1,2", "--S=3"),
     ("solve", "--pure-power", "--method", "power-iteration", "--d", "3", "--S=8"),
     ("solve", "--pure-power", "--method", "closed-form", "--d", "3", "--S=8"),
+    # one-column and one-row frames: every PGM token ends a row, and a cap
+    # above 255 maps two counts to one colour; then a grid too large to
+    # allocate, which is one error line
+    ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "1x9", "--max-iters", "300"),
+    ("fractal", "--d", "4", *FRACTAL_FILES, "--resolution", "9x1"),
+    ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "4000000x4000000"),
 ]
 
 
