@@ -27,6 +27,7 @@ from .closedform import solve_cubic, solve_quadratic, solve_quartic
 from .complexity import max_cup_length
 from .newton import DEFAULT_CONFIG, RADICAL_CONFIG, NewtonConfig, solve_pure_power
 from .poly import REPEATED_ROOT_TOL, MonicPolynomial, has_repeated_roots
+from .poly import ldexp_complex, scaled_horner
 from .report import RootReport, dumps
 from .tracing import BranchTrace
 
@@ -38,8 +39,8 @@ _COINCIDENT_ROOTS = (
 )
 
 _INACCURATE_ROOTS = (
-    "a root's Newton correction |p(z)/p'(z)| exceeds 1e-7 |z|; the closed"
-    " form lost accuracy to cancellation or underflow"
+    "a root's Newton correction |p(z)/p'(z)| exceeds 1e-7 |z|; the method"
+    " lost accuracy to cancellation or underflow"
 )
 
 _DISK_RADIUS = 10.0
@@ -123,12 +124,12 @@ def solve(
     coefficient above a0 zero) or "power-iteration"; ``config`` defaults to
     ``RADICAL_CONFIG``, as the command's flags do.  Roots that coincide within
     ``REPEATED_ROOT_TOL``, relative to their modulus, add a warning, since
-    the input then sits outside the distinct-root domain.  A closed-form
-    root z with |p(z)| > 1e-7 |z| |p'(z)| adds a warning too: its Newton
-    correction exceeds 1e-7 of its modulus (written without a division, so
-    z = 0 and p'(z) = 0 are covered), and the formulas lost it to
-    cancellation or underflow.  The ``solve`` command exits 2 when the
-    report carries any warning.
+    the input then sits outside the distinct-root domain.  Whatever the
+    method, a root z whose Newton correction |p(z)/p'(z)| exceeds 1e-7 |z|
+    adds a warning too, as does one ``scaled_horner`` cannot scale: it
+    lost accuracy to cancellation or underflow.  The test is |P| > 1e-7 |w|
+    |D|, so no power of z leaves the range and z = 0 needs no division.
+    The ``solve`` command exits 2 when the report carries any warning.
     """
     config = config or RADICAL_CONFIG
     if method == "power-iteration":
@@ -164,12 +165,17 @@ def solve(
         )
     if has_repeated_roots(report.roots):
         report = replace(report, warnings=report.warnings + (_COINCIDENT_ROOTS,))
-    if method == "closed-form" and any(
-        r > 1e-7 * abs(z) * abs(poly.derivative_at(z))
-        for z, r in zip(report.roots, report.residuals)
-    ):
+    if any(_inaccurate(poly, z) for z in report.roots):
         report = replace(report, warnings=report.warnings + (_INACCURATE_ROOTS,))
     return report
+
+
+def _inaccurate(poly: MonicPolynomial, z: complex) -> bool:
+    try:
+        P, D, s = scaled_horner(poly, z)
+        return abs(P) > 1e-7 * abs(ldexp_complex(z, -s)) * abs(D)
+    except OverflowError:
+        return True
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -240,12 +246,8 @@ def _measure_branches(d: int, samples: int, rng: random.Random) -> tuple[int, st
     uniformly from the disk |a| <= 10; other degrees exercise the pure-power
     solver on right-hand sides from the same disk.  Failed runs, whether
     Newton did not converge or a radicand left the double range, still
-    contribute the branches they spent before stopping.
-
-    A nonzero pure power takes 2 branches (the zero and half-plane tests),
-    below smale_bound from d = 37 on: a fact about the family t**d = S, whose
-    covering has Schwarz genus 2, not a breach of the bound, which is for
-    the general degree-d polynomial.
+    contribute the branches they spent before stopping.  (A nonzero pure
+    power takes 2 branches; see the ``bound`` command's description.)
     """
     solver = CLOSED_FORM.get(d)
     worst = 0

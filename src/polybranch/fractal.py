@@ -23,10 +23,7 @@ in its own thread; numpy releases the GIL inside its array loops, so the
 sets overlap.  Every operation on a lane is elementwise, so a cell's count
 does not depend on which lanes share its arrays: the split moves no bit,
 and every cell is computed the same way wherever it lies.  Each step first
-screens cells by modulus: all d roots lie on the circle |t| = |S|**(1/d),
-so by the reverse triangle inequality an iterate farther than threshold_r
-(plus a rounding slack) from that circle is near no root, and only the other
-cells pay for the nearest-root distance; see ``_escape_lanes``.
+screens cells by modulus (see ``_escape_lanes``).
 """
 
 from __future__ import annotations
@@ -136,17 +133,9 @@ def escape_times(
     threshold_r of the nearest d-th root of its S; cells that diverge, hit
     the map's critical point 0, or exhaust the cap are non-converged and
     carry the cap as their count.  S = 0 cells are converged at 0 (the only
-    root is 0 and every distance test against it is degenerate).
-
-    The live (nonzero) lanes are split into ``parts`` interleaved sets,
-    ``lanes[k::parts]``, with parts = min(usable CPUs, lanes // 32768), so
-    a grid below 65536 lanes, or a process held to one CPU, runs on one
-    thread.  Each set runs the step loop of ``_escape_lanes`` in its own
-    thread, the caller's thread taking set 0; numpy releases the GIL inside
-    its array loops, so the sets overlap.  The split cannot move a bit:
-    every operation on a lane is elementwise, so its value does not depend
-    on which other lanes share its arrays, and the sets write disjoint
-    cells of the result.
+    root is 0 and every distance test against it is degenerate).  The live
+    lanes run ``_escape_lanes`` in ``lanes[k::parts]`` sets, as the module
+    docstring describes; the sets write disjoint cells of the result.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
@@ -287,10 +276,9 @@ def render(
 
     ``sector=k`` renders in the canonical rotated frame (rotation applied to
     every cell before iterating, seed 1 doing the work), which reproduces the
-    sector-k seed's picture exactly up to the grid rotation.  The grid is
-    one ``escape_times`` call, which splits a large grid's lanes over the
-    usable CPUs without changing a bit.  ``workers`` is accepted for
-    compatibility and ignored: the CPUs the process may use set the split.
+    sector-k seed's picture exactly up to the grid rotation.  ``workers`` is
+    accepted for compatibility and ignored: the grid is one ``escape_times``
+    call, whose lane split the CPUs the process may use set.
     """
     cfg = config or DEFAULT_CONFIG
     width, height = resolution

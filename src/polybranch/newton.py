@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .poly import ldexp_complex
 from .tracing import BranchTrace, record_decision
 
 _EPS = sys.float_info.epsilon
@@ -234,8 +235,7 @@ def scaled_root(
     e = math.frexp(max(abs(S.real), abs(S.imag)))[1]
     m = (2 * e + d) // (2 * d)  # e/d rounded to the nearest integer, halves up
     try:
-        # Component-wise, so no power of two outside the double range is formed.
-        scaled = complex(math.ldexp(S.real, -d * m), math.ldexp(S.imag, -d * m))
+        scaled = ldexp_complex(S, -d * m)
         seed, half = select_seed(d, scaled, trace)
     except OverflowError:  # the reduced S, or its modulus, beyond the largest double
         raise ArithmeticError(f"t**{d} = {S!r}: S leaves the double range") from None

@@ -8,6 +8,7 @@ Root collections are plain tuples of ``complex`` (see ``RootTuple``).
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 RootTuple = tuple[complex, ...]
@@ -46,14 +47,6 @@ class MonicPolynomial:
     def __call__(self, t: complex) -> complex:
         return evaluate(self, t)
 
-    def derivative_at(self, t: complex) -> complex:
-        """Evaluate the first derivative at ``t`` (Horner on the derivative)."""
-        d = self.degree
-        acc = complex(d)
-        for j in range(d - 1, 0, -1):
-            acc = acc * t + j * self.coeffs[j]
-        return acc
-
 
 def evaluate(p: MonicPolynomial, t: complex) -> complex:
     """Horner evaluation, the implicit leading 1 included."""
@@ -67,40 +60,51 @@ def residual(p: MonicPolynomial, t: complex) -> float:
     """|p(t)|, the residual of a candidate root, without spurious overflow.
 
     Plain Horner (``evaluate``) wherever its modulus is finite; otherwise
-    ``_scaled_residual``.  The result is inf only where the scaled form
-    overflows too: |p(t)| itself lies beyond the double range, or some
-    coefficient a_j exceeds |t|**(d - j) by about that range.
+    |P| * 2**(s*d) from ``scaled_horner``, and inf only where that overflows.
     """
-    try:
+    with suppress(OverflowError):  # finite parts whose modulus exceeds the range
         value = abs(evaluate(p, t))
-    except OverflowError:  # finite parts whose modulus exceeds the range
-        value = math.inf
-    return value if math.isfinite(value) else _scaled_residual(p, t)
+        if math.isfinite(value):
+            return value
+    with suppress(OverflowError):
+        P, _, s = scaled_horner(p, t)
+        return math.ldexp(abs(P), s * p.degree)
+    return math.inf
 
 
-def _scaled_residual(p: MonicPolynomial, t: complex) -> float:
-    """|p(t)| by Horner on w = t / 2**s, scaled back with ``ldexp``.
+def scaled_horner(p: MonicPolynomial, z: complex) -> tuple[complex, complex, int]:
+    """(P, D, s) with p(z) = P * 2**(s*d) and p'(z) = D * 2**(s*(d - 1)).
 
-    s is the binary exponent of the larger part of t (0 below 1), so both
-    parts of w are below 1.  Coefficient j is scaled by 2**(-s*(d - j)), so
-    the loop computes p(t) / 2**(s*d).  Scaling by a power of two is exact:
-    wherever no part leaves the normal range, the value equals
-    ``abs(evaluate(p, t))`` bit for bit.  A scaled coefficient that
-    underflows is below 2**-1022 * |t|**d, under the rounding of t**d.
+    One Horner pass on w = z / 2**s, s of either sign taken from the modulus
+    of z so that sqrt(1/2) <= |w| < sqrt(2) (s = 0 at z = 0); coefficient j
+    is scaled to a_j / 2**(s*(d - j)) by ``ldexp``, a zero not at all.  P and
+    D take the steps of ``evaluate`` and of plain Horner on the derivative,
+    so wherever no part of a step, plain or scaled, leaves the normal range,
+    they are plain Horner's values times exact powers of two, bit for bit.
+    |w|**d stays within 2**(+-d/2), which leaves that range only from
+    d = 2045 on; a scaled coefficient beyond it raises ``OverflowError``.
     """
     d = p.degree
-    s = max(0, math.frexp(max(abs(t.real), abs(t.imag)))[1])
-    w = _ldexp(t, -s)
-    acc = 1 + 0j
-    for j in range(d - 1, -1, -1):
-        acc = acc * w + _ldexp(p.coeffs[j], -s * (d - j))
-    try:
-        return math.ldexp(abs(acc), s * d)
-    except OverflowError:
-        return math.inf
+    s, w = 0, z
+    if z:
+        s = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+        w = ldexp_complex(z, -s)  # 1/2 <= |w| < sqrt(2)
+        if abs(w) < math.sqrt(0.5):  # sqrt(0.5) rounds up, its predecessor down
+            s -= 1
+            w = ldexp_complex(z, -s)
+    a = p.coeffs
+    if s:
+        a = [ldexp_complex(c, -s * (d - j)) if c else c for j, c in enumerate(a)]
+    P, D = 1 + 0j, complex(d)
+    for j in range(d - 1, 0, -1):
+        c = a[j]
+        P = P * w + c
+        D = D * w + j * c
+    return P * w + a[0], D, s
 
 
-def _ldexp(z: complex, e: int) -> complex:
+def ldexp_complex(z: complex, e: int) -> complex:
+    """z * 2**e, part by part, so no power of two beyond the range is formed."""
     return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
 
 

@@ -5,7 +5,8 @@ a fixed starting vector (the last basis vector), a fixed update, deflation,
 and a fixed 3-step Newton polish.  No quantity of the input ever selects a
 code path, so the decision count of this method is 0 by construction.  The
 price is a genuine failure mode: dominant eigenvalues of equal magnitude
-never settle, and are detected and flagged rather than resolved.
+never settle, and are detected and flagged rather than resolved.  A root
+lost to cancellation in deflation is flagged by ``cli.solve``'s certificate.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import MonicPolynomial, deflate, evaluate
+from .poly import MonicPolynomial, deflate, ldexp_complex, scaled_horner
+from .poly import evaluate  # noqa: F401 - unused; bench/spans.py wraps powiter.evaluate
 from .report import RootReport
 
 _POLISH_STEPS = 3
@@ -201,12 +203,15 @@ def detect_equal_magnitude(residual_history: tuple[float, ...] | list[float]) ->
 
 
 def _polish(p: MonicPolynomial, z: complex) -> complex:
-    """Fixed 3-step Newton polish on the current polynomial (no branching)."""
+    """Fixed 3-step Newton polish on the current polynomial (no branching), each
+    step z - (P/D) * 2**s by ``scaled_horner``; it stops where p'(z) = 0 or
+    a scaled coefficient or the step overflows, and keeps the last z."""
     for _ in range(_POLISH_STEPS):
-        dp = p.derivative_at(z)
-        if dp == 0:
+        try:
+            P, D, s = scaled_horner(p, z)
+            z = z - ldexp_complex(P / D, s)
+        except (ZeroDivisionError, OverflowError):
             break
-        z = z - evaluate(p, z) / dp
     return z
 
 

@@ -22,7 +22,7 @@ class RootReport:
     ``branch_count`` the number of recorded decisions of the run (0 for the
     branch-free power-iteration method), ``per_root_iterations[j]`` the
     iteration effort attributed to roots[j], and ``warnings`` the non-fatal
-    flags (unconverged stages, inputs outside the guaranteed domain).
+    flags (unconverged stages, inaccurate roots, inputs off the guaranteed domain).
     """
 
     roots: tuple[complex, ...]

@@ -469,14 +469,51 @@ def test_small_roots_take_the_path_of_roots_of_modulus_one(coeffs, want, branche
     assert all(abs(g - w) <= 1e-9 * w for g, w in zip(got, want))
 
 
-@pytest.mark.parametrize("coeffs", ["1,1e10", "-1,1e8,0"])
-def test_an_inaccurate_closed_form_root_is_flagged(coeffs):
+@pytest.mark.parametrize(
+    "coeffs, method",
+    [
+        pytest.param("1,1e10", "closed-form", id="1,1e10"),
+        pytest.param("-1,1e8,0", "closed-form", id="-1,1e8,0"),
+        pytest.param("1,1e10", "power-iteration", id="power-iteration-1,1e10"),
+        pytest.param("1,1.2e154", "power-iteration", id="power-iteration-1,1.2e154"),
+        # t**2 (t**2 + a3 t + a2): the double root 0 comes back as junk
+        pytest.param(
+            "0;0;-7.176538697249779e-206,1.641475718065768e-205;"
+            "-1.1442242796867373e-93,3.7232455117515185e-94",
+            "power-iteration",
+            id="power-iteration-double-zero",
+        ),
+    ],
+)
+def test_an_inaccurate_closed_form_root_is_flagged(coeffs, method):
     # Cancellation in (-a1 + s)/2, and in u + v - shift, loses the small
     # roots (-1e-10, and 1e-8); their Newton corrections give them away.
-    proc = run_cli("solve", f"--coeffs={coeffs}")
+    # Power iteration loses the small root when it deflates by the huge
+    # one: the quotient's constant cancels to 0, and the root comes back -0.0.
+    proc = run_cli("solve", f"--coeffs={coeffs}", "--method", method)
     assert proc.returncode == 2
     warnings = strict_json(proc.stdout)["warnings"]
     assert len(warnings) == 1 and "Newton correction" in warnings[0]
+
+
+def test_a_root_whose_scaled_coefficients_overflow_is_flagged():
+    # At z = 1e-200, s is near -664, and a1 = 1e200 scaled by 2**664 leaves
+    # the double range: the Newton correction cannot be certified.
+    assert cli._inaccurate(MonicPolynomial((0, 1e200)), 1e-200)
+
+
+def test_power_iteration_polishes_a_huge_root_to_finite_roots():
+    # At z ~ -1.1e154, z**3 overflows plain Horner and the polish step was
+    # inf/inf, a NaN root.  The scaled polish keeps every root finite; the
+    # small pair +-9.5e-78i is not resolved, and the report says so.
+    proc = run_cli("solve", "--method", "power-iteration", "--coeffs=1,1,1.1e154")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    payload = strict_json(proc.stdout)  # no NaN
+    roots = roots_as_complex(payload)
+    assert len(roots) == 3
+    assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in roots)
+    assert abs(roots[0] + 1.1e154) <= 1e-12 * 1.1e154
 
 
 def mpmath_roots(coeffs):

@@ -8,7 +8,7 @@ import random
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polybranch import (
@@ -19,7 +19,7 @@ from polybranch import (
     roots_to_poly,
 )
 from polybranch import poly
-from polybranch.poly import _scaled_residual, residual
+from polybranch.poly import ldexp_complex, residual, scaled_horner
 
 RNG_SEED = 20260814
 
@@ -56,7 +56,7 @@ def test_evaluate_matches_naive_power_sum() -> None:
         assert p(t) == got
 
 
-def test_derivative_at_matches_difference_quotient() -> None:
+def test_scaled_derivative_matches_difference_quotient() -> None:
     rng = random.Random(RNG_SEED + 1)
     for _ in range(100):
         degree = rng.randint(1, 5)
@@ -64,7 +64,9 @@ def test_derivative_at_matches_difference_quotient() -> None:
         t = random_complex(rng, 2.0)
         h = 1e-6
         numeric = (evaluate(p, t + h) - evaluate(p, t - h)) / (2 * h)
-        assert abs(p.derivative_at(t) - numeric) <= 1e-4 * max(1.0, abs(numeric))
+        _, D, s = scaled_horner(p, t)
+        derivative = ldexp_complex(D, s * (degree - 1))
+        assert abs(derivative - numeric) <= 1e-4 * max(1.0, abs(numeric))
 
 
 def test_roots_to_poly_known_expansions() -> None:
@@ -311,14 +313,44 @@ def test_residual_is_plain_horner_wherever_that_is_finite(p, t) -> None:
     assert residual(p, t) == plain
 
 
+def reference_derivative(p: MonicPolynomial, t: complex) -> complex:
+    """A frozen copy of the plain Horner loop on the derivative."""
+    d = p.degree
+    acc = complex(d)
+    for j in range(d - 1, 0, -1):
+        acc = acc * t + j * p.coeffs[j]
+    return acc
+
+
+def bits(z: complex) -> tuple[str, str]:
+    """Both parts exactly, the sign of a zero included."""
+    return z.real.hex(), z.imag.hex()
+
+
 @PROPERTY
-@given(polynomials(2.0**-20, 2.0**40), complexes(2.0**-20, 2.0**40))
-def test_scaled_residual_equals_plain_horner_in_the_normal_range(p, t) -> None:
-    # Every part stays far inside the normal range here, where scaling by a
-    # power of two is exact, so the scaled form must agree bit for bit.
-    plain = plain_residual(p, t)
-    assume(math.isfinite(plain))
-    assert _scaled_residual(p, t) == plain
+@given(
+    st.tuples(
+        (st.lists(complexes(2.0**-20, 2.0**20), min_size=1, max_size=6)
+         | st.builds(lambda S: [S] + [0j] * 15, complexes(2.0**-20, 2.0**20)))
+        .map(lambda coeffs: MonicPolynomial(tuple(coeffs))),
+        complexes(2.0**-30, 0.5) | complexes(2.0, 2.0**30),
+    )
+    | st.tuples(polynomials(2.0**-20, 2.0**40), complexes(2.0, 2.0**40))
+)
+def test_scaled_horner_equals_plain_horner_in_the_normal_range(case) -> None:
+    # Up to degree 16 and within 2**+-30, no part of plain Horner or of its
+    # scaled copy leaves the normal range, where scaling by a power of two is
+    # exact, so both must agree bit for bit, on |t| < 1 and |t| > 1 alike.
+    # At |t| >= 2 they agree up to 2**40 and degree 64 too, wherever plain
+    # Horner is finite: a scaled coefficient that underflows there is
+    # absorbed into t**d, as its plain copy is.
+    p, t = case
+    d = p.degree
+    plain = evaluate(p, t)
+    assume(cmath.isfinite(plain))
+    P, D, s = scaled_horner(p, t)
+    assert bits(ldexp_complex(P, s * d)) == bits(plain)
+    assert bits(ldexp_complex(D, s * (d - 1))) == bits(reference_derivative(p, t))
 
 
 def pure_power_near_roots() -> st.SearchStrategy[tuple[MonicPolynomial, complex]]:
@@ -354,3 +386,105 @@ def test_residual_beyond_plain_horner_stays_within_rounding(case) -> None:
             assert abs(got - exact) <= bound
         elif exact - bound > top:
             assert got == math.inf
+
+
+TOP = 1.7976931348623157e308
+
+
+def scaled_cases() -> st.SearchStrategy[tuple[MonicPolynomial, complex]]:
+    """(p, z) with z anywhere in 2**+-1074 and p scaled with it, and pure
+    powers up to d = 2100 at z of modulus 1/2 to sqrt(2).
+
+    A dense q of degree 1-6 and u of modulus about 1 give p(t) = 2**(k d)
+    q(t / 2**k) and z = 2**k u; coefficients may underflow, and k is capped
+    where the largest would overflow.  At d = 2100, |w|**d leaves the double
+    range on both sides of |w| = 1.
+    """
+
+    def dense(q: list[complex], u: complex, k: int):
+        d = len(q)
+        k = min(k, 1000 // d)
+        coeffs = tuple(ldexp_complex(c, k * (d - j)) for j, c in enumerate(q))
+        return MonicPolynomial(coeffs), ldexp_complex(u, k)
+
+    def pure(d: int, S: complex, z: complex):
+        return MonicPolynomial((-S,) + (0j,) * (d - 1)), z
+
+    return st.builds(
+        dense,
+        st.lists(complexes(2.0**-20, 2.0**20), min_size=1, max_size=6),
+        complexes(0.25, 4.0),
+        st.integers(min_value=-1080, max_value=1000),
+    ) | st.builds(
+        pure,
+        st.sampled_from([16, 64, 1074, 2100]),
+        complexes(5e-324, 1.7e308),
+        complexes(0.5, 1.0),
+    )
+
+
+def shift_by_the_rule(z: complex) -> int:
+    """The s with sqrt(1/2) <= |z / 2**s| < sqrt(2), for z != 0."""
+    s = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    while abs(ldexp_complex(z, -s)) < math.sqrt(0.5):
+        s -= 1
+    while abs(ldexp_complex(z, -s)) >= math.sqrt(2):
+        s += 1
+    return s
+
+
+def exact_scaled(p: MonicPolynomial, z: complex, s: int):
+    """(value, rounding bound, reach) for P and then D, at the working
+    precision: the values of p and p' at w = z / 2**s scaled by 2**(-s*d)
+    and 2**(-s*(d - 1)), the Horner bound with an absolute term for
+    underflow, and a bound on the modulus of every Horner step."""
+    d = p.degree
+    w = mpmath.mpc(z.real, z.imag) * mpmath.mpf(2) ** -s
+    size, big = abs(w), max(mpmath.mpf(1), abs(w))
+    terms = [
+        (j, mpmath.mpc(c.real, c.imag) * mpmath.mpf(2) ** (-s * (d - j)))
+        for j, c in enumerate(p.coeffs)
+        if c
+    ] + [(d, mpmath.mpc(1))]
+    tiny = (d + 1) ** 3 * mpmath.mpf(2) ** -1074 * big**d
+    eps = 8 * (d + 1) * mpmath.mpf(2) ** -52
+    P = sum(b * w**j for j, b in terms)
+    D = sum(j * b * w ** (j - 1) for j, b in terms if j)
+    return (
+        (P, eps * sum(abs(b) * size**j for j, b in terms) + tiny,
+         sum(abs(b) * big**j for j, b in terms)),
+        (D, eps * sum(j * abs(b) * size ** (j - 1) for j, b in terms if j) + tiny,
+         sum(j * abs(b) * big ** (j - 1) for j, b in terms if j)),
+    )
+
+
+@PROPERTY
+@example((MonicPolynomial((-1,) + (0j,) * 2099), complex(0.999, 0.999)))
+@example((MonicPolynomial((-5e-324,) + (0j,) * 2099), complex(0.5006, 0.5006)))
+@example((MonicPolynomial((-1,) + (0j,) * 2047), complex(1.0, 1.0)))
+@given(scaled_cases() | pure_power_near_roots())
+def test_scaled_horner_is_within_rounding_of_the_exact_value(case) -> None:
+    # Compare P and D with the exact values at 60 digits: within the Horner
+    # rounding bound wherever no step can leave the double range, not finite
+    # wherever the value itself lies beyond it.  OverflowError only where a
+    # scaled coefficient does.
+    p, z = case
+    d = p.degree
+    try:
+        P, D, s = scaled_horner(p, z)
+    except OverflowError:
+        s = shift_by_the_rule(z)
+        with mpmath.workdps(60):
+            two = mpmath.mpf(2)
+            assert any(
+                max(abs(mpmath.mpf(c.real)), abs(mpmath.mpf(c.imag))) * two ** (-s * (d - j)) > TOP
+                for j, c in enumerate(p.coeffs)
+            )
+        return
+    assert s == shift_by_the_rule(z) if z != 0 else s == 0
+    with mpmath.workdps(60):
+        for got, (exact, bound, reach) in zip((P, D), exact_scaled(p, z, s)):
+            if 2 * reach < TOP:
+                assert abs(mpmath.mpc(got.real, got.imag) - exact) <= bound
+            elif max(abs(exact.real), abs(exact.imag)) - bound > TOP:
+                assert not (math.isfinite(got.real) and math.isfinite(got.imag))

@@ -348,6 +348,12 @@ def test_polish_stops_where_the_derivative_vanishes() -> None:
     assert _polish(poly_with_roots((1.0, 1.0, 2.0)), 1.0) == 1.0
 
 
+def test_polish_keeps_z_where_a_scaled_coefficient_overflows() -> None:
+    # At z = 1e-200, w = z / 2**s has s near -664, and a1 = 1e200 scaled by
+    # 2**664 is beyond the double range: the polish stops instead of raising.
+    assert _polish(MonicPolynomial((0, 1e200)), 1e-200) == 1e-200
+
+
 def test_linear_polynomial_short_circuits() -> None:
     report = solve_by_power_iteration(MonicPolynomial((3 + 4j,)))
     assert report.roots == (-3 - 4j,)

@@ -182,7 +182,8 @@ COMMANDS: list[tuple[str, ...]] = [
     ("solve", "--coeffs=1,1e10"),
     ("solve", "--coeffs=-1,1e8,0"),
     # power iteration deflating by a huge root: the small root comes back as
-    # -0.0 (exit 0), and a NaN from the polish of p at z ~ -1.1e154 (exit 1)
+    # -0.0 and is flagged, and the polish of p at z ~ -1.1e154, where plain
+    # Horner overflows
     ("solve", "--method", "power-iteration", "--coeffs=1,1e10"),
     ("solve", "--method", "power-iteration", "--coeffs=1,1.2e154"),
     ("solve", "--method", "power-iteration", "--coeffs=1,1,1.1e154"),
@@ -197,6 +198,19 @@ COMMANDS: list[tuple[str, ...]] = [
     ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "1x9", "--max-iters", "300"),
     ("fractal", "--d", "4", *FRACTAL_FILES, "--resolution", "9x1"),
     ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "4000000x4000000"),
+    # the accuracy certificate: roots of modulus 1/2 whose p(z) plain Horner
+    # evaluates in subnormal arithmetic, and a degree-8 ladder (bench
+    # power_iteration, seed 0, input 62) whose smallest root is 1.8e-7 off
+    ("solve", "--pure-power", "--d", "1074", "--S=5e-324"),
+    ("solve", "--method", "power-iteration",
+     "--coeffs=3.010055721850055e-08,1.8847757195870258e-08;"
+     "-2.0211781928045452e-06,6.554387687097903e-06;"
+     "-0.000348017426243562,-0.00013430833746947663;"
+     "-8.849090122244329e-05,-0.005827718463030036;"
+     "0.0775899547667637,-0.08899621302688804;"
+     "0.7086448925190301,-0.1923933129947371;"
+     "2.158405548971221,-0.6809927524146677;"
+     "1.9407159194070407,-0.8713480406022562"),
 ]
 
 
