@@ -66,7 +66,6 @@ _LAZY = {
         (
             "CompanionMatrix",
             "PowerIterResult",
-            "ZeroEigenvalueError",
             "companion",
             "detect_equal_magnitude",
             "power_iterate",

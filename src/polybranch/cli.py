@@ -20,28 +20,16 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .closedform import solve_cubic, solve_quadratic, solve_quartic
 from .complexity import max_cup_length
 from .newton import DEFAULT_CONFIG, RADICAL_CONFIG, NewtonConfig, solve_pure_power
-from .poly import REPEATED_ROOT_TOL, MonicPolynomial, has_repeated_roots
-from .poly import ldexp_complex, scaled_horner
+from .poly import MonicPolynomial
 from .report import RootReport, dumps
 from .tracing import BranchTrace
 
 CLOSED_FORM = {2: solve_quadratic, 3: solve_cubic, 4: solve_quartic}
-
-_COINCIDENT_ROOTS = (
-    f"roots coincide within {REPEATED_ROOT_TOL}; the input sits outside the"
-    " guaranteed distinct-root domain"
-)
-
-_INACCURATE_ROOTS = (
-    "a root's Newton correction |p(z)/p'(z)| exceeds 1e-7 |z|; the method"
-    " lost accuracy to cancellation or underflow"
-)
 
 _DISK_RADIUS = 10.0
 
@@ -122,60 +110,40 @@ def solve(
 
     ``method`` is "closed-form" (degrees 2-4), "pure-power" (t**d - S, every
     coefficient above a0 zero) or "power-iteration"; ``config`` defaults to
-    ``RADICAL_CONFIG``, as the command's flags do.  Roots that coincide within
-    ``REPEATED_ROOT_TOL``, relative to their modulus, add a warning, since
-    the input then sits outside the distinct-root domain.  Whatever the
-    method, a root z whose Newton correction |p(z)/p'(z)| exceeds 1e-7 |z|
-    adds a warning too, as does one ``scaled_horner`` cannot scale: it
-    lost accuracy to cancellation or underflow.  The test is |P| > 1e-7 |w|
-    |D|, so no power of z leaves the range and z = 0 needs no division.
-    The ``solve`` command exits 2 when the report carries any warning.
+    ``RADICAL_CONFIG``, as the command's flags do.  Every method's report is
+    built by ``RootReport.answering``, which certifies it: roots that
+    coincide, and roots whose Newton correction gives them away as
+    inaccurate, each add a warning.  The ``solve`` command exits 2 when the
+    report carries any warning.
     """
     config = config or RADICAL_CONFIG
     if method == "power-iteration":
         from .powiter import solve_by_power_iteration
 
-        report = solve_by_power_iteration(
+        return solve_by_power_iteration(
             poly, max_iters=config.max_iters, tol=config.threshold_r
         )
+    trace = BranchTrace()
+    if method == "pure-power":
+        if any(c != 0 for c in poly.coeffs[1:]):
+            raise ValueError("pure-power needs every coefficient above a0 to be zero")
+        roots = solve_pure_power(poly.degree, -poly.coeffs[0], config, trace)
+    elif method == "closed-form":
+        solver = CLOSED_FORM.get(poly.degree)
+        if solver is None:
+            raise ValueError(
+                f"closed-form handles degrees {tuple(CLOSED_FORM)}, got {poly.degree}"
+            )
+        roots = solver(*reversed(poly.coeffs), config, trace)
     else:
-        trace = BranchTrace()
-        if method == "pure-power":
-            if any(c != 0 for c in poly.coeffs[1:]):
-                raise ValueError(
-                    "pure-power needs every coefficient above a0 to be zero"
-                )
-            roots = solve_pure_power(poly.degree, -poly.coeffs[0], config, trace)
-        elif method == "closed-form":
-            solver = CLOSED_FORM.get(poly.degree)
-            if solver is None:
-                raise ValueError(
-                    f"closed-form handles degrees {tuple(CLOSED_FORM)},"
-                    f" got {poly.degree}"
-                )
-            roots = solver(*reversed(poly.coeffs), config, trace)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        report = RootReport.answering(
-            poly,
-            roots=roots,
-            branch_count=trace.branch_count,
-            method=method,
-            per_root_iterations=(trace.computation_count,) * len(roots),
-        )
-    if has_repeated_roots(report.roots):
-        report = replace(report, warnings=report.warnings + (_COINCIDENT_ROOTS,))
-    if any(_inaccurate(poly, z) for z in report.roots):
-        report = replace(report, warnings=report.warnings + (_INACCURATE_ROOTS,))
-    return report
-
-
-def _inaccurate(poly: MonicPolynomial, z: complex) -> bool:
-    try:
-        P, D, s = scaled_horner(poly, z)
-        return abs(P) > 1e-7 * abs(ldexp_complex(z, -s)) * abs(D)
-    except OverflowError:
-        return True
+        raise ValueError(f"unknown method {method!r}")
+    return RootReport.answering(
+        poly,
+        roots=roots,
+        branch_count=trace.branch_count,
+        method=method,
+        per_root_iterations=(trace.computation_count,) * len(roots),
+    )
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

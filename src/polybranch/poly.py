@@ -8,7 +8,6 @@ Root collections are plain tuples of ``complex`` (see ``RootTuple``).
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 
 RootTuple = tuple[complex, ...]
@@ -54,22 +53,6 @@ def evaluate(p: MonicPolynomial, t: complex) -> complex:
     for c in reversed(p.coeffs):
         acc = acc * t + c
     return acc
-
-
-def residual(p: MonicPolynomial, t: complex) -> float:
-    """|p(t)|, the residual of a candidate root, without spurious overflow.
-
-    Plain Horner (``evaluate``) wherever its modulus is finite; otherwise
-    |P| * 2**(s*d) from ``scaled_horner``, and inf only where that overflows.
-    """
-    with suppress(OverflowError):  # finite parts whose modulus exceeds the range
-        value = abs(evaluate(p, t))
-        if math.isfinite(value):
-            return value
-    with suppress(OverflowError):
-        P, _, s = scaled_horner(p, t)
-        return math.ldexp(abs(P), s * p.degree)
-    return math.inf
 
 
 def scaled_horner(p: MonicPolynomial, z: complex) -> tuple[complex, complex, int]:

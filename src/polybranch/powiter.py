@@ -1,12 +1,13 @@
 """Branch-free root finding: power iteration on the companion matrix.
 
 The alternative to branch-counted solving trades decisions for iteration:
-a fixed starting vector (the last basis vector), a fixed update, deflation,
-and a fixed 3-step Newton polish.  No quantity of the input ever selects a
-code path, so the decision count of this method is 0 by construction.  The
-price is a genuine failure mode: dominant eigenvalues of equal magnitude
-never settle, and are detected and flagged rather than resolved.  A root
-lost to cancellation in deflation is flagged by ``cli.solve``'s certificate.
+exact zero roots divided out first, then a fixed starting vector (the last
+basis vector), a fixed update, deflation, and a fixed 3-step Newton polish
+on the zero-free input.  No quantity of the input ever selects a code path,
+so the decision count of this method is 0 by construction.  The price is a
+genuine failure mode: dominant eigenvalues of equal magnitude never settle,
+and are detected and flagged rather than resolved.  A root the polish does
+not recover is flagged by the certificate of ``RootReport.answering``.
 """
 
 from __future__ import annotations
@@ -72,13 +73,6 @@ def companion(p: MonicPolynomial) -> CompanionMatrix:
     return CompanionMatrix(tuple(p.coeffs))
 
 
-class ZeroEigenvalueError(RuntimeError):
-    """The iterate was annihilated: zero eigenvalue present; deflate t first."""
-
-    def __init__(self) -> None:
-        super().__init__("zero eigenvalue present; deflate t first")
-
-
 @dataclass(frozen=True)
 class PowerIterResult:
     """One power-iteration run: the last estimate and its per-step residuals."""
@@ -134,8 +128,8 @@ def power_iterate(
     lambda once more at the end.  An iterate whose norm overflows ends the
     run early and unconverged, so such a run reports fewer than
     ``max_iters`` iterations; one whose norm underflows is rescaled by a
-    power of two, and only an exactly zero iterate raises
-    ``ZeroEigenvalueError``.
+    power of two.  An exactly zero iterate F b = 0 ends the run converged
+    with eigenvalue 0: b is an eigenvector of 0.
     """
     d = F.dimension
     if d < 1:
@@ -160,7 +154,8 @@ def power_iterate(
                 # by the power of two that brings its largest part near 1.
                 peak = float(np.max(np.abs(w.view(np.float64))))
                 if peak == 0.0:
-                    raise ZeroEigenvalueError()
+                    converged = True
+                    break
                 w = np.ldexp(w.view(np.float64), -math.frexp(peak)[1]).view(np.complex128)
                 norm_w = _norm(w)
             b_new = w / norm_w
@@ -176,7 +171,7 @@ def power_iterate(
                 if converged:
                     break
     return PowerIterResult(
-        # The Rayleigh quotient of the last completed step: w = F b.
+        # The Rayleigh quotient of the last completed step: w = F b, or 0.
         eigenvalue=complex(np.vdot(b, w)) if history else 0j,
         eigenvector=b,
         converged=converged,
@@ -203,9 +198,13 @@ def detect_equal_magnitude(residual_history: tuple[float, ...] | list[float]) ->
 
 
 def _polish(p: MonicPolynomial, z: complex) -> complex:
-    """Fixed 3-step Newton polish on the current polynomial (no branching), each
-    step z - (P/D) * 2**s by ``scaled_horner``; it stops where p'(z) = 0 or
-    a scaled coefficient or the step overflows, and keeps the last z."""
+    """Fixed 3-step Newton polish on ``p`` (no branching), each step
+    z - (P/D) * 2**s by ``scaled_horner``; it stops where p'(z) = 0 or a
+    scaled coefficient or the step overflows, and keeps the last z.
+
+    ``p`` is the zero-free input, not a deflated quotient, so rounding in
+    deflation costs no accuracy; it must be zero-free, since p(0) = 0 would
+    stop the polish of a small root at 0."""
     for _ in range(_POLISH_STEPS):
         try:
             P, D, s = scaled_horner(p, z)
@@ -222,47 +221,45 @@ def solve_by_power_iteration(
 ) -> RootReport:
     """All roots by repeated power iteration + deflation; 0 recorded branches.
 
-    Roots come out in the dominance order the iteration discovers them.  When
-    a stage fails to converge, the remaining slots are filled with the last
-    eigenvalue estimate and flagged in ``warnings`` -- never silently -- with
-    equal-magnitude oscillation distinguished from a plain iteration cap.
+    The k exact zero roots come first, found by dropping the k leading zero
+    coefficients, which is exact.  The other roots come out in the dominance
+    order the iteration discovers them, each, the last linear one included,
+    polished on that zero-free input.  When a stage fails to converge, the
+    remaining slots are filled with the last eigenvalue estimate and flagged
+    in ``warnings`` -- never silently -- with equal-magnitude oscillation
+    distinguished from a plain iteration cap.  ``RootReport.answering``
+    certifies the roots and adds its own warnings after these.
     """
     degree = p.degree
-    roots: list[complex] = []
-    iters: list[int] = []
-    warnings: list[str] = []
-    current = p
-    for remaining in range(degree, 1, -1):
-        try:
+    zeros = next((j for j, c in enumerate(p.coeffs) if c), degree)
+    roots, iters, warnings = [0j] * zeros, [0] * zeros, []
+    if zeros < degree:
+        free = MonicPolynomial(p.coeffs[zeros:])  # p / t**zeros
+        current = free
+        for remaining in range(free.degree, 1, -1):
             res = power_iterate(companion(current), max_iters=max_iters, tol=tol)
-        except ZeroEigenvalueError:
-            # exact zero eigenvalue: 0 is a root, deflating by t is exact
-            roots.append(0j)
+            if not res.converged:
+                if res.iterations < max_iters:
+                    cause = "iterate norm overflowed"
+                elif detect_equal_magnitude(res.residual_history):
+                    cause = "equal-magnitude dominant eigenvalues"
+                else:
+                    cause = "iteration cap reached"
+                warnings.append(
+                    f"{cause} at the degree-{remaining} stage;"
+                    f" roots[{len(roots)}:{degree}] unconverged"
+                )
+                for _ in range(remaining):
+                    roots.append(res.eigenvalue)
+                    iters.append(res.iterations)
+                break
+            z = _polish(free, res.eigenvalue)
+            roots.append(z)
+            iters.append(res.iterations)
+            current = deflate(current, z)[0]
+        else:  # current is now t + a0
+            roots.append(_polish(free, -current.coeffs[0]))
             iters.append(0)
-            current = deflate(current, 0j)[0]
-            continue
-        if not res.converged:
-            if res.iterations < max_iters:
-                cause = "iterate norm overflowed"
-            elif detect_equal_magnitude(res.residual_history):
-                cause = "equal-magnitude dominant eigenvalues"
-            else:
-                cause = "iteration cap reached"
-            warnings.append(
-                f"{cause} at the degree-{remaining} stage;"
-                f" roots[{len(roots)}:{degree}] unconverged"
-            )
-            for _ in range(remaining):
-                roots.append(res.eigenvalue)
-                iters.append(res.iterations)
-            break
-        z = _polish(current, res.eigenvalue)
-        roots.append(z)
-        iters.append(res.iterations)
-        current = deflate(current, z)[0]
-    else:  # current is now t + a0: its root is exact
-        roots.append(-current.coeffs[0])
-        iters.append(0)
     return RootReport.answering(
         p,
         roots=tuple(roots),

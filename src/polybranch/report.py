@@ -3,9 +3,22 @@
 from __future__ import annotations
 
 import json
+import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
-from .poly import MonicPolynomial, residual
+from .poly import REPEATED_ROOT_TOL, MonicPolynomial, RootTuple, evaluate
+from .poly import has_repeated_roots, ldexp_complex, scaled_horner
+
+_COINCIDENT_ROOTS = (
+    f"roots coincide within {REPEATED_ROOT_TOL}; the input sits outside the"
+    " guaranteed distinct-root domain"
+)
+
+_INACCURATE_ROOTS = (
+    "a root's Newton correction |p(z)/p'(z)| exceeds 1e-7 |z|; the method"
+    " lost accuracy to cancellation or underflow"
+)
 
 
 def dumps(payload: dict) -> str:
@@ -22,7 +35,8 @@ class RootReport:
     ``branch_count`` the number of recorded decisions of the run (0 for the
     branch-free power-iteration method), ``per_root_iterations[j]`` the
     iteration effort attributed to roots[j], and ``warnings`` the non-fatal
-    flags (unconverged stages, inaccurate roots, inputs off the guaranteed domain).
+    flags: the method's own (such as unconverged stages), then the
+    coincident-roots and inaccurate-roots flags of ``answering``.
     """
 
     roots: tuple[complex, ...]
@@ -41,10 +55,46 @@ class RootReport:
 
     @classmethod
     def answering(
-        cls, poly: MonicPolynomial, roots: tuple[complex, ...], **fields
+        cls, poly: MonicPolynomial, roots: RootTuple, warnings: tuple[str, ...] = (), **fields
     ) -> RootReport:
-        """The report for ``roots`` of ``poly``; ``fields`` are the other fields."""
-        return cls(roots, tuple(residual(poly, z) for z in roots), **fields)
+        """The certified report for ``roots`` of ``poly``; ``fields`` are the
+        other fields, and ``warnings`` the method's own.
+
+        One ``scaled_horner`` pass per root z gives its residual
+        |P| * 2**(s*d) and its Newton correction: z is inaccurate where
+        |p(z)/p'(z)| > 1e-7 |z|, tested as |P| > 1e-7 |w| |D| so that no
+        power of z leaves the range and z = 0 needs no division.  A root
+        whose scaled coefficients overflow cannot be certified: it is
+        inaccurate.  Where the scaled residual is not finite, plain Horner's
+        |p(z)| stands in, and inf where that is not finite either.  After
+        the method's warnings come ``_COINCIDENT_ROOTS`` where two roots
+        coincide within ``REPEATED_ROOT_TOL``, relative to their modulus,
+        and then ``_INACCURATE_ROOTS`` where any root is inaccurate.
+        """
+        d = poly.degree
+        residuals: list[float] = []
+        inaccurate = False
+        for z in roots:
+            residual = math.inf
+            try:
+                P, D, s = scaled_horner(poly, z)
+                size = abs(P)
+                inaccurate |= size > 1e-7 * abs(ldexp_complex(z, -s)) * abs(D)
+            except OverflowError:  # a scaled coefficient: z cannot be certified
+                inaccurate = True
+            else:
+                with suppress(OverflowError):
+                    residual = math.ldexp(size, s * d)
+            if not math.isfinite(residual):
+                with suppress(OverflowError):  # a modulus beyond the range
+                    residual = abs(evaluate(poly, z))
+            residuals.append(residual if math.isfinite(residual) else math.inf)
+        warnings = tuple(warnings)
+        if has_repeated_roots(roots):
+            warnings += (_COINCIDENT_ROOTS,)
+        if inaccurate:
+            warnings += (_INACCURATE_ROOTS,)
+        return cls(roots, tuple(residuals), warnings=warnings, **fields)
 
     @property
     def degree(self) -> int:
@@ -62,3 +112,4 @@ class RootReport:
                 "warnings": list(self.warnings),
             }
         )
+

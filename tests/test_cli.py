@@ -29,6 +29,8 @@ import pytest
 import polybranch
 from polybranch import MonicPolynomial, cli, roots_to_poly
 from polybranch.cli import main, parse_coeffs, solve
+from polybranch.powiter import solve_by_power_iteration
+from polybranch.report import _INACCURATE_ROOTS, RootReport
 from polybranch.tracing import record_decision
 
 # The directory that holds the imported package.  Children get it as an
@@ -378,7 +380,6 @@ LAZY_NAMES = {
     "powiter": (
         "CompanionMatrix",
         "PowerIterResult",
-        "ZeroEigenvalueError",
         "companion",
         "detect_equal_magnitude",
         "power_iterate",
@@ -474,32 +475,84 @@ def test_small_roots_take_the_path_of_roots_of_modulus_one(coeffs, want, branche
     [
         pytest.param("1,1e10", "closed-form", id="1,1e10"),
         pytest.param("-1,1e8,0", "closed-form", id="-1,1e8,0"),
-        pytest.param("1,1e10", "power-iteration", id="power-iteration-1,1e10"),
         pytest.param("1,1.2e154", "power-iteration", id="power-iteration-1,1.2e154"),
-        # t**2 (t**2 + a3 t + a2): the double root 0 comes back as junk
-        pytest.param(
-            "0;0;-7.176538697249779e-206,1.641475718065768e-205;"
-            "-1.1442242796867373e-93,3.7232455117515185e-94",
-            "power-iteration",
-            id="power-iteration-double-zero",
-        ),
     ],
 )
-def test_an_inaccurate_closed_form_root_is_flagged(coeffs, method):
+def test_an_inaccurate_root_is_flagged(coeffs, method):
     # Cancellation in (-a1 + s)/2, and in u + v - shift, loses the small
     # roots (-1e-10, and 1e-8); their Newton corrections give them away.
-    # Power iteration loses the small root when it deflates by the huge
-    # one: the quotient's constant cancels to 0, and the root comes back -0.0.
+    # Power iteration polishes the small root of t**2 + 1.2e154 t + 1 to
+    # -8.333e-155, but at z ~ 2**-511 a0 = 1 scaled by 2**1022 overflows:
+    # the root cannot be certified, and is flagged.
     proc = run_cli("solve", f"--coeffs={coeffs}", "--method", method)
     assert proc.returncode == 2
     warnings = strict_json(proc.stdout)["warnings"]
     assert len(warnings) == 1 and "Newton correction" in warnings[0]
 
 
+def test_power_iteration_finds_the_small_root_beside_a_huge_one():
+    # Deflating t**2 + 1e10 t + 1 by -1e10 cancels the quotient's constant
+    # to 0; the polish on the input brings the small root back.
+    proc = run_cli("solve", "--method", "power-iteration", "--coeffs=1,1e10")
+    assert proc.returncode == 0
+    payload = strict_json(proc.stdout)
+    assert payload["warnings"] == []
+    assert roots_as_complex(payload) == [-1e10, -1e-10]
+
+
+def test_power_iteration_divides_out_exact_zero_roots():
+    # t**2 (t**2 + a3 t + a2): both zeros are exact and come first, and the
+    # small root a2 / r1 is polished on the zero-free quadratic, where a
+    # polish on the input would stop at p(0) = 0.
+    a2 = complex(-7.176538697249779e-206, 1.641475718065768e-205)
+    a3 = complex(-1.1442242796867373e-93, 3.7232455117515185e-94)
+    coeffs = f"0;0;{a2.real},{a2.imag};{a3.real},{a3.imag}"
+    proc = run_cli("solve", "--method", "power-iteration", f"--coeffs={coeffs}")
+    assert proc.returncode == 2
+    payload = strict_json(proc.stdout)
+    assert len(payload["warnings"]) == 1 and "coincide" in payload["warnings"][0]
+    assert payload["roots"][:2] == [[0.0, 0.0], [0.0, 0.0]]
+    with mpmath.workdps(50):
+        b, c = mpmath.mpc(a3.real, a3.imag), mpmath.mpc(a2.real, a2.imag)
+        root = mpmath.sqrt(b * b - 4 * c)
+        r1 = (-b - root) / 2 if abs(-b - root) > abs(-b + root) else (-b + root) / 2
+        small = complex(c / r1)
+    found = min(roots_as_complex(payload)[2:], key=abs)
+    assert abs(found - small) <= 1e-15 * abs(small)
+
+
 def test_a_root_whose_scaled_coefficients_overflow_is_flagged():
     # At z = 1e-200, s is near -664, and a1 = 1e200 scaled by 2**664 leaves
     # the double range: the Newton correction cannot be certified.
-    assert cli._inaccurate(MonicPolynomial((0, 1e200)), 1e-200)
+    poly = MonicPolynomial((0, 1e200))
+    report = RootReport.answering(
+        poly, (1e-200,), branch_count=0, method="-", per_root_iterations=(0,)
+    )
+    assert report.warnings == (_INACCURATE_ROOTS,)
+
+
+@pytest.mark.parametrize("family", ["bench-shaped", "spread"])
+def test_the_library_and_solve_give_one_power_iteration_report(family):
+    # cli.solve adds nothing to the library's report: the same roots, the
+    # same residuals and the same warnings, whatever the input.
+    rng = random.Random(2200)
+    warned = 0
+    for i in range(120):
+        degree = 2 + i % 7
+        if family == "bench-shaped":
+            moduli = [rng.uniform(0.5, 2.0)]
+            for _ in range(degree - 1):
+                moduli.append(moduli[-1] * rng.uniform(0.35, 0.75))
+        else:
+            moduli = [10 ** rng.uniform(-8, 8) for _ in range(degree)]
+        roots = [cmath.rect(m, rng.uniform(-math.pi, math.pi)) for m in moduli]
+        if i % 16 == 0:
+            roots[1] = -roots[0]
+        poly = roots_to_poly(tuple(roots))
+        library = solve_by_power_iteration(poly, max_iters=100, tol=1e-8)
+        assert repr(solve(poly, "power-iteration")) == repr(library)
+        warned += bool(library.warnings)
+    assert warned > 0
 
 
 def test_power_iteration_polishes_a_huge_root_to_finite_roots():

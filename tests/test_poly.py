@@ -19,7 +19,8 @@ from polybranch import (
     roots_to_poly,
 )
 from polybranch import poly
-from polybranch.poly import ldexp_complex, residual, scaled_horner
+from polybranch.poly import ldexp_complex, scaled_horner
+from polybranch.report import RootReport
 
 RNG_SEED = 20260814
 
@@ -259,6 +260,12 @@ def test_repeated_roots_at_large_degree_test_few_pairs(monkeypatch) -> None:
     assert 0 < len(tests) < 10 * d
 
 
+def residual(p: MonicPolynomial, t: complex) -> float:
+    """The residual ``RootReport.answering`` reports for t as a root of p."""
+    report = RootReport.answering(p, (t,), branch_count=0, method="-", per_root_iterations=(0,))
+    return report.residuals[0]
+
+
 def test_residual_of_a_value_beyond_the_double_range_is_inf() -> None:
     # t itself is finite, but abs() of it overflows, and so does the scaled form.
     assert residual(MonicPolynomial((0j,)), complex(1.5e308, 1.5e308)) == math.inf
@@ -386,6 +393,26 @@ def test_residual_beyond_plain_horner_stays_within_rounding(case) -> None:
             assert abs(got - exact) <= bound
         elif exact - bound > top:
             assert got == math.inf
+
+
+def test_a_subnormal_residual_is_the_closer_one() -> None:
+    # Every root z of t**1074 = 5e-324 has |z| = 1/2, so z**1074 lies within
+    # a few ulps of the smallest subnormal.  Plain Horner rounds each partial
+    # power in subnormals, where the scaled pass rounds in the normal range
+    # and once more at the end: its residual is never further from the exact
+    # value at 60 digits, and on some roots it is closer.
+    d, S = 1074, 5e-324
+    p = MonicPolynomial((-S,) + (0j,) * (d - 1))
+    closer = 0
+    for k in range(0, d, 7):
+        t = cmath.rect(0.5, 2 * math.pi * k / d)
+        with mpmath.workdps(60):
+            exact = abs(mpmath.mpc(t.real, t.imag) ** d - S)
+        error = abs(residual(p, t) - exact)
+        plain = abs(abs(evaluate(p, t)) - exact)
+        assert error <= plain
+        closer += error < plain
+    assert closer > 0
 
 
 TOP = 1.7976931348623157e308

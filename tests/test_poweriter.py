@@ -11,7 +11,6 @@ import pytest
 from polybranch import (
     CompanionMatrix,
     MonicPolynomial,
-    ZeroEigenvalueError,
     companion,
     deflate,
     detect_equal_magnitude,
@@ -20,7 +19,7 @@ from polybranch import (
     solve_by_power_iteration,
 )
 from polybranch.powiter import _fit_ratio, _polish
-from polybranch.report import RootReport
+from polybranch.report import _COINCIDENT_ROOTS, _INACCURATE_ROOTS, RootReport
 from oracles import durand_kerner, multiset_max_distance
 
 
@@ -113,7 +112,8 @@ def test_structured_apply_keeps_the_bits_of_the_per_call_column() -> None:
 def reference_power_iterate(F: CompanionMatrix, max_iters: int = 500, tol: float = 1e-10):
     """A frozen copy of the loop ``power_iterate`` must reproduce bit for bit:
     ``np.linalg.norm`` for every norm, the per-call column product, and the
-    Rayleigh quotient and eigen-residual at every step."""
+    Rayleigh quotient and eigen-residual at every step.  An exactly zero
+    iterate ends the run converged, with the last Rayleigh quotient (0)."""
     d = F.dimension
     parts = [x for c in F.coeffs for x in (c.real, c.imag)]
     fro = math.hypot(*parts, *[1.0] * (d - 1))
@@ -131,7 +131,8 @@ def reference_power_iterate(F: CompanionMatrix, max_iters: int = 500, tol: float
             if norm_w < 2.0 ** -511:
                 peak = float(np.max(np.abs(w.view(np.float64))))
                 if peak == 0.0:
-                    raise ZeroEigenvalueError()
+                    converged = True
+                    break
                 w = np.ldexp(w.view(np.float64), -math.frexp(peak)[1]).view(np.complex128)
                 norm_w = float(np.linalg.norm(w))
             b_new = w / norm_w
@@ -199,9 +200,8 @@ def test_power_iterate_keeps_the_bits_of_the_reference_loop_at_the_edges() -> No
         F = companion(MonicPolynomial((a0,)))
         assert abs(assert_same_bits(F) + a0) <= 1e-15 * abs(a0)
         assert power_iterate(F).converged
-    for run in (power_iterate, reference_power_iterate):
-        with pytest.raises(ZeroEigenvalueError):
-            run(companion(MonicPolynomial((0, 0))))
+    for coeffs in [(0,), (0, 0), (0, 0, 0)]:  # F e_d = 0 on the first step
+        assert assert_same_bits(companion(MonicPolynomial(coeffs))) == 0
 
 
 def test_dominant_eigenvalue_of_a_factorable_quadratic() -> None:
@@ -293,8 +293,10 @@ def test_iteration_cap_edges() -> None:
 
 
 def test_zero_start_vector_annihilation_is_signalled() -> None:
-    with pytest.raises(ZeroEigenvalueError):
-        power_iterate(companion(MonicPolynomial((0, 0))))  # t^2 annihilates e_2
+    # t^2 annihilates e_2: e_2 is an eigenvector of 0.
+    res = power_iterate(companion(MonicPolynomial((0, 0))))
+    assert res.eigenvalue == 0 and res.converged
+    assert res.iterations == 0
 
 
 def test_an_underflowing_iterate_is_rescaled_not_read_as_zero() -> None:
@@ -329,16 +331,20 @@ def test_full_solve_of_a_factorable_quadratic() -> None:
 
 
 def test_modulus_tie_is_flagged_not_silent() -> None:
-    report = solve_by_power_iteration(MonicPolynomial((0, -1, 0)))  # t^3 - t
-    assert len(report.warnings) == 1
-    assert "equal-magnitude" in report.warnings[0]
-    assert "unconverged" in report.warnings[0]
+    # t^3 - t: the zero root comes first, then the pair +-1 ties.
+    report = solve_by_power_iteration(MonicPolynomial((0, -1, 0)))
+    assert report.warnings == (
+        "equal-magnitude dominant eigenvalues at the degree-2 stage; roots[1:3] unconverged",
+        _COINCIDENT_ROOTS,
+    )
 
 
 def test_iteration_cap_is_flagged_as_its_own_cause() -> None:
     report = solve_by_power_iteration(MonicPolynomial((-6, 11, -6)), max_iters=5)
     assert report.warnings == (
         "iteration cap reached at the degree-3 stage; roots[0:3] unconverged",
+        _COINCIDENT_ROOTS,
+        _INACCURATE_ROOTS,
     )
     assert report.per_root_iterations == (5, 5, 5)
 
@@ -364,7 +370,7 @@ def test_linear_polynomial_short_circuits() -> None:
 def test_zero_roots_are_deflated_exactly() -> None:
     report = solve_by_power_iteration(MonicPolynomial((0, 0)))  # t^2
     assert report.roots == (0j, -0j) or report.roots == (0j, 0j)
-    assert report.warnings == ()
+    assert report.warnings == (_COINCIDENT_ROOTS,)
     report = solve_by_power_iteration(MonicPolynomial((0, -1)))  # t^2 - t
     got = sorted(report.roots, key=lambda z: z.real)
     assert abs(got[0]) < 1e-10 and abs(got[1] - 1) < 1e-10
@@ -404,27 +410,26 @@ def reference_detect_equal_magnitude(history) -> bool:
 
 def reference_solve_by_power_iteration(p, max_iters=500, tol=1e-10) -> RootReport:
     """A frozen copy of the stage loop ``solve_by_power_iteration`` must match
-    field for field: a ``while`` over the roots still missing, with an exit
-    for none left.  It calls the live ``power_iterate``, ``_polish`` and
-    ``deflate``."""
+    field for field: the zero roots counted off one by one, then a ``while``
+    over the roots still missing, with an exit for none left.  Every root is
+    polished on the zero-free input.  It calls the live ``power_iterate``,
+    ``_polish``, ``deflate`` and ``RootReport.answering``."""
     degree = p.degree
     roots, iters, warnings = [], [], []
-    current = p
+    while len(roots) < degree and p.coeffs[len(roots)] == 0:
+        roots.append(0j)
+        iters.append(0)
+    free = MonicPolynomial(p.coeffs[len(roots):]) if len(roots) < degree else None
+    current = free
     while True:
         remaining = degree - len(roots)
         if remaining == 0:
             break
         if remaining == 1:
-            roots.append(-current.coeffs[0])
+            roots.append(_polish(free, -current.coeffs[0]))
             iters.append(0)
             break
-        try:
-            res = power_iterate(companion(current), max_iters=max_iters, tol=tol)
-        except ZeroEigenvalueError:
-            roots.append(0j)
-            iters.append(0)
-            current = deflate(current, 0j)[0]
-            continue
+        res = power_iterate(companion(current), max_iters=max_iters, tol=tol)
         if not res.converged:
             if res.iterations < max_iters:
                 cause = "iterate norm overflowed"
@@ -440,7 +445,7 @@ def reference_solve_by_power_iteration(p, max_iters=500, tol=1e-10) -> RootRepor
                 roots.append(res.eigenvalue)
                 iters.append(res.iterations)
             break
-        z = _polish(current, res.eigenvalue)
+        z = _polish(free, res.eigenvalue)
         roots.append(z)
         iters.append(res.iterations)
         current = deflate(current, z)[0]
@@ -470,15 +475,17 @@ def report_bits(report: RootReport) -> tuple:
 def test_stage_loop_keeps_the_fields_of_the_reference_loop(max_iters) -> None:
     rng = random.Random(1400 + max_iters)
     inputs = [
-        MonicPolynomial((0j, 0j)),  # an exact zero eigenvalue
+        MonicPolynomial((0j, 0j)),  # exact zero roots only
+        MonicPolynomial((0j, 0j, 2, -3)),  # two exact zero roots, then 1 and 2
         poly_with_roots((2.0 ** -519, 2.0 ** -521)),
-        MonicPolynomial((0j, 0j, 1e200)),  # the iterate's norm overflows
+        MonicPolynomial((1, 1, 1e200)),  # the iterate's norm overflows
     ]
     inputs += [
         poly_with_roots(bench_shaped_roots(rng, i, degree=rng.randint(1, 8)))
         for i in range(160)
     ]
     assert {p.degree for p in inputs} == set(range(1, 9))
+    assert solve_by_power_iteration(inputs[3]).warnings[0].startswith("iterate norm overflowed")
     for p in inputs:
         assert report_bits(solve_by_power_iteration(p, max_iters=max_iters)) == report_bits(
             reference_solve_by_power_iteration(p, max_iters=max_iters)

@@ -181,9 +181,9 @@ COMMANDS: list[tuple[str, ...]] = [
     ("solve", "--coeffs=2.4e-23,-5e-17,3.5e-11,-1e-5"),
     ("solve", "--coeffs=1,1e10"),
     ("solve", "--coeffs=-1,1e8,0"),
-    # power iteration deflating by a huge root: the small root comes back as
-    # -0.0 and is flagged, and the polish of p at z ~ -1.1e154, where plain
-    # Horner overflows
+    # power iteration deflating by a huge root, which cancels the quotient's
+    # constant: the polish on the input recovers the small root; and the
+    # polish of p at z ~ -1.1e154, where plain Horner overflows
     ("solve", "--method", "power-iteration", "--coeffs=1,1e10"),
     ("solve", "--method", "power-iteration", "--coeffs=1,1.2e154"),
     ("solve", "--method", "power-iteration", "--coeffs=1,1,1.1e154"),
@@ -211,6 +211,14 @@ COMMANDS: list[tuple[str, ...]] = [
      "0.7086448925190301,-0.1923933129947371;"
      "2.158405548971221,-0.6809927524146677;"
      "1.9407159194070407,-0.8713480406022562"),
+    # exact zero roots are divided out before any stage: t**2 times a
+    # quadratic whose roots are 1e-93 and 1e-112 in modulus, and t**2 (t + 1)
+    # next to t**3 + t**2 + t + 1e200, whose first iterate's norm overflows
+    ("solve", "--method", "power-iteration",
+     "--coeffs=0;0;-7.176538697249779e-206,1.641475718065768e-205;"
+     "-1.1442242796867373e-93,3.7232455117515185e-94"),
+    ("solve", "--method", "power-iteration", "--coeffs=1,1,1e200"),
+    ("solve", "--method", "power-iteration", "--coeffs=0,0,1"),
 ]
 
 
