@@ -27,7 +27,7 @@ _POLISH_STEPS = 3
 _WINDOW = 8
 _OSCILLATION_FLOOR = 1e-8
 _RATIO_TOL = 0.05
-# Below this norm the squares summed by _norm's two dots leave the normal range.
+# Below this norm the squares summed by the norm's two dots leave the normal range.
 _NORM_FLOOR = 2.0 ** -511
 
 
@@ -35,8 +35,10 @@ _NORM_FLOOR = 2.0 ** -511
 class CompanionMatrix:
     """Companion matrix of a monic polynomial: subdiagonal ones, last column
     the negated low-to-high coefficients.  Stored implicitly; ``apply`` is the
-    O(d) structured product (shift + last-column combination).  The column
-    is built once, with the matrix, and not again per product."""
+    O(d) structured product (shift + last-column combination), and
+    ``power_iterate`` runs the same product, with the same operands in the
+    same order, in buffers it makes once per run.  The coefficient column is
+    converted once, with the matrix, and not again per product."""
 
     coeffs: tuple[complex, ...]
     _head: complex = field(init=False, repr=False, compare=False)
@@ -51,16 +53,11 @@ class CompanionMatrix:
         return len(self.coeffs)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
+        """``F v``.  Entry 0 is a scalar product and entries 1.. one array
+        product, as numpy rounds the two differently."""
         v = np.asarray(v, dtype=np.complex128)
         if v.shape != (self.dimension,):
             raise ValueError("vector length must match the dimension")
-        return self._product(v)
-
-    def _product(self, v: np.ndarray) -> np.ndarray:
-        """``apply`` without its checks: v is a complex128 vector of length d.
-
-        Entry 0 is a scalar product and entries 1.. one array product, as
-        numpy rounds the two differently."""
         out = np.empty_like(v)
         last = v[-1]
         out[0] = self._head * last
@@ -104,14 +101,6 @@ def _fit_ratio(history: tuple[float, ...] | list[float]) -> float | None:
     return float(math.exp(slope))
 
 
-def _norm(x: np.ndarray) -> float:
-    """``np.linalg.norm`` of a complex vector without its dispatch: the same
-    two dots over the real and imaginary parts, summed in the same order,
-    and a correctly rounded square root."""
-    re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 def power_iterate(
     F: CompanionMatrix,
     max_iters: int = 500,
@@ -130,6 +119,14 @@ def power_iterate(
     ``max_iters`` iterations; one whose norm underflows is rescaled by a
     power of two.  An exactly zero iterate F b = 0 ends the run converged
     with eigenvalue 0: b is an eigenvector of 0.
+
+    Each run makes its arrays once, with every view its loop reads, and each
+    step writes its results into them; no buffer is shared between runs, and
+    none is written after the call returns, so the returned eigenvector is
+    the run's own.  The kernels and their operand order are part of the
+    bits: each norm is two strided dots, the phase comes from ``np.vdot``,
+    the displacement is ``phase * b`` with the scalar first, and entry 0 of
+    each product is a numpy scalar product.
     """
     d = F.dimension
     if d < 1:
@@ -137,37 +134,55 @@ def power_iterate(
     # ||F||_F over the d - 1 subdiagonal ones and the coefficient column.
     parts = [x for c in F.coeffs for x in (c.real, c.imag)]
     fro = math.hypot(*parts, *[1.0] * (d - 1))
-    product = F._product
-    b = np.zeros(d, dtype=np.complex128)
+    head, tail = F._head, F._tail
+    # Two iterates that trade places every step, w = F b, the displacement
+    # and the product's column, with the views the loop reads.
+    b, b_new = np.zeros(d, dtype=np.complex128), np.empty(d, dtype=np.complex128)
+    b_lead, b_new_lead = b[:-1], b_new[:-1]
     b[-1] = 1.0
-    w = product(b)
+    w = F.apply(b)
+    w_re, w_im, w_rest, w_floats = w.real, w.imag, w[1:], w.view(np.float64)
+    disp = np.empty(d, dtype=np.complex128)
+    disp_re, disp_im = disp.real, disp.imag
+    column = np.empty(d - 1, dtype=np.complex128)
     history: list[float] = []
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iters):
-            norm_w = _norm(w)
+            # Each norm is np.linalg.norm's: two dots over the real and the
+            # imaginary part, summed in that order, and a square root.
+            norm_w = math.sqrt(w_re.dot(w_re) + w_im.dot(w_im))
             if not math.isfinite(norm_w):
                 break
             if norm_w < _NORM_FLOOR:
                 # The squares inside the norm underflow.  Only an exactly
                 # zero iterate means a zero eigenvalue; any other is rescaled
                 # by the power of two that brings its largest part near 1.
-                peak = float(np.max(np.abs(w.view(np.float64))))
+                peak = float(np.max(np.abs(w_floats)))
                 if peak == 0.0:
                     converged = True
                     break
-                w = np.ldexp(w.view(np.float64), -math.frexp(peak)[1]).view(np.complex128)
-                norm_w = _norm(w)
-            b_new = w / norm_w
+                np.ldexp(w_floats, -math.frexp(peak)[1], out=w_floats)
+                norm_w = math.sqrt(w_re.dot(w_re) + w_im.dot(w_im))
+            np.divide(w, norm_w, out=b_new)
             inner = complex(np.vdot(b, b_new))
-            phase = inner / abs(inner) if abs(inner) > 0 else 1.0 + 0j
-            step = _norm(b_new - phase * b)
-            w = product(b_new)
+            mag = abs(inner)
+            phase = inner / mag if mag > 0 else 1.0 + 0j
+            np.multiply(phase, b, out=disp)  # the scalar first, as in phase * b
+            np.subtract(b_new, disp, out=disp)
+            step = math.sqrt(disp_re.dot(disp_re) + disp_im.dot(disp_im))
+            # w = F b_new, computed as ``CompanionMatrix.apply`` computes it.
+            last = b_new[-1]
+            w[0] = head * last
+            np.multiply(tail, last, out=column)
+            np.subtract(b_new_lead, column, out=w_rest)
             history.append(step)
-            b = b_new
+            b, b_new, b_lead, b_new_lead = b_new, b, b_new_lead, b_lead
             if step < tol:
                 lam = complex(np.vdot(b, w))  # b is unit
-                converged = _norm(w - lam * b) <= tol * fro
+                np.multiply(lam, b, out=disp)
+                np.subtract(w, disp, out=disp)
+                converged = math.sqrt(disp_re.dot(disp_re) + disp_im.dot(disp_im)) <= tol * fro
                 if converged:
                     break
     return PowerIterResult(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -202,6 +204,77 @@ def test_power_iterate_keeps_the_bits_of_the_reference_loop_at_the_edges() -> No
         assert power_iterate(F).converged
     for coeffs in [(0,), (0, 0), (0, 0, 0)]:  # F e_d = 0 on the first step
         assert assert_same_bits(companion(MonicPolynomial(coeffs))) == 0
+
+
+def stages_keep_the_bits(p: MonicPolynomial) -> None:
+    """Every stage down to the 1x1 companion, each deflated by the estimate."""
+    while True:
+        eigenvalue = assert_same_bits(companion(p))
+        if p.degree == 1:
+            return
+        p = deflate(p, eigenvalue)[0]
+
+
+@pytest.mark.parametrize("degree", range(1, 17))
+def test_power_iterate_keeps_the_bits_of_the_reference_loop_at_degrees_1_to_16(degree) -> None:
+    # Up to d = 16 numpy's vector loops run several full vectors and leave
+    # every tail length, past the bench's degrees 2-8.
+    rng = random.Random(2300 + degree)
+    for _ in range(2):
+        stages_keep_the_bits(MonicPolynomial(tuple(
+            complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(degree))))
+    for i in (1, 2):
+        stages_keep_the_bits(poly_with_roots(bench_shaped_roots(rng, i, degree)))
+    if degree == 11:  # an equal-modulus tie runs its first stage to the cap
+        tie = poly_with_roots(bench_shaped_roots(rng, 0, degree))
+        assert power_iterate(companion(tie)).iterations == 500
+        stages_keep_the_bits(tie)
+
+
+def test_a_result_keeps_its_eigenvector_after_later_runs() -> None:
+    rng = random.Random(2317)
+    first = companion(poly_with_roots(bench_shaped_roots(rng, 1, 5)))
+    result = power_iterate(first)
+    kept = result.eigenvector.tobytes()
+    for degree in (5, 5, 3, 8, 1):
+        later = power_iterate(companion(poly_with_roots(bench_shaped_roots(rng, 2, degree))))
+        assert not np.shares_memory(later.eigenvector, result.eigenvector)
+        assert result.eigenvector.tobytes() == kept
+    assert bits(result.eigenvalue, result.eigenvector, result.converged,
+                result.residual_history) == bits(*reference_power_iterate(first))
+
+
+def test_concurrent_runs_give_the_sequential_bits() -> None:
+    rng = random.Random(2318)
+    workers = 4  # more threads than the cores of a small box
+    batches = [
+        [companion(poly_with_roots(bench_shaped_roots(rng, i, 2 + (i + k) % 9)))
+         for i in range(12)]
+        for k in range(workers)
+    ]
+
+    def outcome(F: CompanionMatrix) -> tuple:
+        res = power_iterate(F)
+        return bits(res.eigenvalue, res.eigenvector, res.converged, res.residual_history)
+
+    expected = [[outcome(F) for F in batch] for batch in batches]
+    got: list[list | None] = [None] * workers
+
+    def run(k: int) -> None:
+        got[k] = [outcome(F) for F in batches[k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
 
 
 def test_dominant_eigenvalue_of_a_factorable_quadratic() -> None:

@@ -9,7 +9,11 @@ both sides form the pairs.  Per workload the output lists the seeds, and
 per end-to-end metric of ``BENCHMARK.json`` each side's values in seed
 order, their median and quartiles (``statistics.quantiles``, inclusive),
 the pairs the change wins (ties count for neither side) and whether the
-change's median is within the metric's bound.  Traced results
+change's median is within the metric's bound.  Where the results also carry
+the value as measured, before calibration scaling (``raw_throughput_ops_s``,
+``raw_latency_p50_ms``, ``raw_setup_s``), the metric gets a ``raw`` block
+with the same summaries and wins, so that a verdict which only the
+calibration kernel moves shows next to the scaled one.  Traced results
 (``--trace 1``) are copied per side as they are.  Both sides' provenance
 blocks and the optional NOTE are kept verbatim.
 """
@@ -39,6 +43,13 @@ def summary(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
+def compare(parent: dict, change: dict, name: str, seeds: list[int], key: str,
+            lower: bool) -> tuple[list[float], list[float], int]:
+    """Each side's values of one result key in seed order, and the change's wins."""
+    before, after = ([runs[(name, s)]["result"][key] for s in seeds] for runs in (parent, change))
+    return before, after, sum((c < p) if lower else (c > p) for p, c in zip(before, after))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) not in (3, 4):
         print(__doc__, file=sys.stderr)
@@ -52,20 +63,24 @@ def main(argv: list[str]) -> int:
         rows = {}
         for metric in metrics:
             key, lower = metric["name"], metric["better"] == "lower"
-            sides = [[runs[(name, s)]["result"][key] for s in seeds] for runs in (parent, change)]
-            wins = sum((c < p) if lower else (c > p) for p, c in zip(*sides))
-            p_med, c_med = statistics.median(sides[0]), statistics.median(sides[1])
+            before, after, wins = compare(parent, change, name, seeds, key, lower)
+            p_med, c_med = statistics.median(before), statistics.median(after)
             worse = (c_med / p_med - 1.0) if lower else (1.0 - c_med / p_med)
             rows[key] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
                 "bound": metric["bound"],
-                "parent": summary(sides[0]),
-                "change": summary(sides[1]),
+                "parent": summary(before),
+                "change": summary(after),
                 "change_wins": wins,
                 "pairs": len(seeds),
                 "within_bound": worse <= metric["bound"],
             }
+            if all(f"raw_{key}" in runs[(name, s)]["result"] for runs in (parent, change)
+                   for s in seeds):
+                before, after, wins = compare(parent, change, name, seeds, f"raw_{key}", lower)
+                rows[key]["raw"] = {"parent": summary(before), "change": summary(after),
+                                    "change_wins": wins}
         failed = [sum(runs[(name, s)]["result"]["failed"] for s in seeds) for runs in (parent, change)]
         workloads[name] = {"seeds": seeds, "failed": dict(zip(("parent", "change"), failed)),
                            "metrics": rows}

@@ -219,6 +219,32 @@ COMMANDS: list[tuple[str, ...]] = [
      "-1.1442242796867373e-93,3.7232455117515185e-94"),
     ("solve", "--method", "power-iteration", "--coeffs=1,1,1e200"),
     ("solve", "--method", "power-iteration", "--coeffs=0,0,1"),
+    # power iteration past the bench's degrees: a degree-12 ladder (moduli
+    # 1.89 down to 0.00135), and a degree-9 input whose dominant pair has equal
+    # modulus 1.96, which runs to the --max-iters cap
+    ("solve", "--method", "power-iteration",
+     "--coeffs=-7.903574293099483e-15,-2.919817778458489e-15;"
+     "9.72336631000949e-12,-5.41844680920529e-12;"
+     "-5.318699513151274e-10,4.345101225346526e-09;"
+     "-4.620688203325833e-07,-3.2620746276619266e-07;"
+     "1.4264960153682365e-05,-2.3232325414467878e-05;"
+     "0.0005330759725606996,-0.0007750264624759248;"
+     "-0.0188838900798195,0.011511710205972117;"
+     "0.10319203920824288,-0.2439228264423298;"
+     "-0.20279376529594004,1.2555293672579375;"
+     "0.23422286962601638,-1.2380436425442847;"
+     "0.6799950071642703,-1.2314241906406724;"
+     "2.2246581868600126,0.14472803942720597"),
+    ("solve", "--method", "power-iteration", "--max-iters", "200",
+     "--coeffs=-3.393822603445064e-08,-1.8497888438594252e-07;"
+     "-1.4159891852434546e-05,-5.868769826539765e-06;"
+     "-0.0003556373378532322,-0.0004628489585937404;"
+     "-0.018583214314777476,0.011476624571898656;"
+     "0.09567095349453386,0.16541694555671674;"
+     "0.04398269633538134,-0.5339141720518846;"
+     "-2.001830861895101,2.0120988334873355;"
+     "3.5862648988982757,-1.624795698770906;"
+     "-0.6839078699818116,0.26586507294954215"),
 ]
 
 
