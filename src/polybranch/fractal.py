@@ -287,6 +287,8 @@ def render(
     re0, re1, im0, im1 = window
     if not (re1 > re0 and im1 > im0):
         raise ValueError("window must have positive extent")
+    if not (math.isfinite(re1 - re0) and math.isfinite(im1 - im0)):
+        raise ValueError("window extent must be finite")
     S = _cell_centers(window, width, height)
     if sector is not None:
         seed_used = sector_seed(d, sector)  # raises on a sector out of range

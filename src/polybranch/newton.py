@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,13 +47,12 @@ DEFAULT_CONFIG = NewtonConfig()
 RADICAL_CONFIG = NewtonConfig(threshold_r=1e-8)
 
 
-@dataclass(frozen=True)
-class NewtonOutcome:
-    """Where a Newton run stopped; ``reason`` names why it failed, if it did."""
+class NewtonOutcome(namedtuple("NewtonOutcome", "value iterations reason", defaults=(None,))):
+    """Where a Newton run stopped (``value``, ``iterations``); ``reason``
+    names why it failed, if it did.  A named tuple, cheaper to build per
+    radical than a frozen dataclass."""
 
-    value: complex
-    iterations: int
-    reason: str | None = None
+    __slots__ = ()
 
     @property
     def converged(self) -> bool:

@@ -111,12 +111,9 @@ def roots_to_poly(roots: RootTuple) -> MonicPolynomial:
     return MonicPolynomial(tuple(full[:-1]))
 
 
-def deflate(p: MonicPolynomial, root: complex) -> tuple[MonicPolynomial, complex]:
-    """Synthetic division by (t - root).
-
-    Returns the monic degree-(d-1) quotient and the remainder, which equals
-    ``evaluate(p, root)`` and is reported for residual tracking.
-    """
+def deflate(p: MonicPolynomial, root: complex) -> MonicPolynomial:
+    """The monic degree-(d-1) quotient of synthetic division by (t - root);
+    the remainder is dropped."""
     if p.degree < 2:
         raise ValueError("cannot deflate below degree 1")
     root = _require_finite(root, "root")
@@ -126,8 +123,7 @@ def deflate(p: MonicPolynomial, root: complex) -> tuple[MonicPolynomial, complex
     for j in range(d - 2, -1, -1):
         b = p.coeffs[j + 1] + root * b
         out[j] = b
-    remainder = p.coeffs[0] + root * out[0]
-    return MonicPolynomial(tuple(out)), remainder
+    return MonicPolynomial(tuple(out))
 
 
 def has_repeated_roots(roots: RootTuple) -> bool:

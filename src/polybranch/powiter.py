@@ -13,7 +13,7 @@ not recover is flagged by the certificate of ``RootReport.answering``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,35 +34,10 @@ _NORM_FLOOR = 2.0 ** -511
 @dataclass(frozen=True)
 class CompanionMatrix:
     """Companion matrix of a monic polynomial: subdiagonal ones, last column
-    the negated low-to-high coefficients.  Stored implicitly; ``apply`` is the
-    O(d) structured product (shift + last-column combination), and
-    ``power_iterate`` runs the same product, with the same operands in the
-    same order, in buffers it makes once per run.  The coefficient column is
-    converted once, with the matrix, and not again per product."""
+    the negated low-to-high coefficients.  Stored implicitly, as the
+    coefficients alone; ``power_iterate`` forms its products."""
 
     coeffs: tuple[complex, ...]
-    _head: complex = field(init=False, repr=False, compare=False)
-    _tail: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_head", -self.coeffs[0] if self.coeffs else 0j)
-        object.__setattr__(self, "_tail", np.asarray(self.coeffs[1:], dtype=np.complex128))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.coeffs)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """``F v``.  Entry 0 is a scalar product and entries 1.. one array
-        product, as numpy rounds the two differently."""
-        v = np.asarray(v, dtype=np.complex128)
-        if v.shape != (self.dimension,):
-            raise ValueError("vector length must match the dimension")
-        out = np.empty_like(v)
-        last = v[-1]
-        out[0] = self._head * last
-        np.subtract(v[:-1], self._tail * last, out=out[1:])
-        return out
 
 
 def companion(p: MonicPolynomial) -> CompanionMatrix:
@@ -128,27 +103,45 @@ def power_iterate(
     the displacement is ``phase * b`` with the scalar first, and entry 0 of
     each product is a numpy scalar product.
     """
-    d = F.dimension
+    d = len(F.coeffs)
     if d < 1:
         raise ValueError("empty matrix")
     # ||F||_F over the d - 1 subdiagonal ones and the coefficient column.
     parts = [x for c in F.coeffs for x in (c.real, c.imag)]
     fro = math.hypot(*parts, *[1.0] * (d - 1))
-    head, tail = F._head, F._tail
+    # F b = (head * b[-1], b[:-1] - tail * b[-1]), the column converted once.
+    head, tail = -F.coeffs[0], np.asarray(F.coeffs[1:], dtype=np.complex128)
     # Two iterates that trade places every step, w = F b, the displacement
     # and the product's column, with the views the loop reads.
     b, b_new = np.zeros(d, dtype=np.complex128), np.empty(d, dtype=np.complex128)
     b_lead, b_new_lead = b[:-1], b_new[:-1]
     b[-1] = 1.0
-    w = F.apply(b)
+    w = np.empty(d, dtype=np.complex128)
     w_re, w_im, w_rest, w_floats = w.real, w.imag, w[1:], w.view(np.float64)
     disp = np.empty(d, dtype=np.complex128)
     disp_re, disp_im = disp.real, disp.imag
     column = np.empty(d - 1, dtype=np.complex128)
     history: list[float] = []
     converged = False
+    step = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iters):
+        # Pass n forms w = F b for the n-th iterate, then takes step n + 1.
+        for n in range(max_iters + 1):
+            # Entry 0 is a numpy scalar product and entries 1.. one array
+            # product, as numpy rounds the two differently.
+            last = b[-1]
+            w[0] = head * last
+            np.multiply(tail, last, out=column)
+            np.subtract(b_lead, column, out=w_rest)
+            if step < tol:
+                lam = complex(np.vdot(b, w))  # b is unit
+                np.multiply(lam, b, out=disp)
+                np.subtract(w, disp, out=disp)
+                converged = math.sqrt(disp_re.dot(disp_re) + disp_im.dot(disp_im)) <= tol * fro
+                if converged:
+                    break
+            if n == max_iters:
+                break
             # Each norm is np.linalg.norm's: two dots over the real and the
             # imaginary part, summed in that order, and a square root.
             norm_w = math.sqrt(w_re.dot(w_re) + w_im.dot(w_im))
@@ -171,20 +164,8 @@ def power_iterate(
             np.multiply(phase, b, out=disp)  # the scalar first, as in phase * b
             np.subtract(b_new, disp, out=disp)
             step = math.sqrt(disp_re.dot(disp_re) + disp_im.dot(disp_im))
-            # w = F b_new, computed as ``CompanionMatrix.apply`` computes it.
-            last = b_new[-1]
-            w[0] = head * last
-            np.multiply(tail, last, out=column)
-            np.subtract(b_new_lead, column, out=w_rest)
             history.append(step)
             b, b_new, b_lead, b_new_lead = b_new, b, b_new_lead, b_lead
-            if step < tol:
-                lam = complex(np.vdot(b, w))  # b is unit
-                np.multiply(lam, b, out=disp)
-                np.subtract(w, disp, out=disp)
-                converged = math.sqrt(disp_re.dot(disp_re) + disp_im.dot(disp_im)) <= tol * fro
-                if converged:
-                    break
     return PowerIterResult(
         # The Rayleigh quotient of the last completed step: w = F b, or 0.
         eigenvalue=complex(np.vdot(b, w)) if history else 0j,
@@ -271,7 +252,7 @@ def solve_by_power_iteration(
             z = _polish(free, res.eigenvalue)
             roots.append(z)
             iters.append(res.iterations)
-            current = deflate(current, z)[0]
+            current = deflate(current, z)
         else:  # current is now t + a0
             roots.append(_polish(free, -current.coeffs[0]))
             iters.append(0)

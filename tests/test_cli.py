@@ -12,6 +12,9 @@ PATH.
 from __future__ import annotations
 
 import cmath
+import importlib
+import importlib.util
+import inspect
 import itertools
 import json
 import math
@@ -27,11 +30,11 @@ import numpy as np
 import pytest
 
 import polybranch
-from polybranch import MonicPolynomial, cli, roots_to_poly
+from polybranch import MonicPolynomial, cli, closedform, fractal, newton, roots_to_poly
 from polybranch.cli import main, parse_coeffs, solve
 from polybranch.powiter import solve_by_power_iteration
 from polybranch.report import _INACCURATE_ROOTS, RootReport
-from polybranch.tracing import record_decision
+from polybranch.tracing import BranchTrace, record_decision
 
 # The directory that holds the imported package.  Children get it as an
 # absolute PYTHONPATH entry, so they import the same code whatever their cwd.
@@ -218,6 +221,11 @@ def test_usage_errors_exit_one():
         ("fractal", "--d", "3", "--out", "o.ppm", "--window", "1,2,3"),
         ("bound", "--degrees", "1"),
         ("bound", "--degrees", "2", "--samples", "0"),
+        # windows whose extent overflows to inf
+        ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "4x4",
+         "--window=-1e308,1e308,-1e308,1e308"),
+        ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "4x4",
+         "--window=-1e308,1.7e308,-1,1"),
     ],
 )
 def test_input_errors_through_main_are_one_line(argv, capsys, tmp_path, monkeypatch):
@@ -424,6 +432,36 @@ def test_scalar_commands_never_import_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+@pytest.mark.skipif(not BENCH_SPANS.is_file(), reason="no bench/ next to the tests")
+def test_the_names_the_benchmark_wraps_keep_their_call_shapes(monkeypatch):
+    # bench/spans.py wraps module attributes by name in every traced run;
+    # a name deleted or bypassed here stops ``bench/run.py --trace 1``.
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module("polybranch." + module), attr))
+
+    calls = []
+    for module, attr in (
+        (closedform, "scaled_root"), (newton, "select_seed"), (newton, "newton_root")
+    ):
+        def recorded(*args, _fn=getattr(module, attr), _name=attr, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, recorded)
+    closedform.solve_quadratic(2 + 0j, 5 + 0j, newton.RADICAL_CONFIG, BranchTrace())
+    assert sorted(calls) == ["newton_root", "scaled_root", "select_seed"]
+
+    assert list(inspect.signature(fractal.render).parameters)[5] == "workers"
+    grid = fractal.render(3, 1 + 0j, None, (-1.0, 1.0, -1.0, 1.0), (2, 2), 1)
+    assert grid.iterations.shape == (2, 2)
 
 
 @pytest.mark.parametrize(

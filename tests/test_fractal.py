@@ -414,6 +414,8 @@ def test_sector_render_equals_rotated_frame_render() -> None:
         (3, {"sector": 3}, "sector index out of range"),
         (1, {}, "degree must be at least 2"),
         (1, {"sector": 5}, "degree must be at least 2"),  # sector_seed checks d first
+        (3, {"window": (-1e308, 1e308, -1e308, 1e308)}, "extent must be finite"),
+        (3, {"window": (-1e308, 1.7e308, -1.0, 1.0)}, "extent must be finite"),
     ],
 )
 def test_render_rejects_an_empty_window_grid_or_sector(d, kwargs, message) -> None:

@@ -117,6 +117,9 @@ COMMANDS: list[tuple[str, ...]] = [
     ("solve", "--pure-power", "--d", "3", "--S=nan"),
     ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "8x8", "--threshold", "inf"),
     ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "8x8", "--window=-inf,inf,-1,1"),
+    ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "4x4",
+     "--window=-1e308,1e308,-1e308,1e308"),
+    ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "4x4", "--window=-1e308,1.7e308,-1,1"),
     ("bound", "--degrees", "2,1023", "--samples", "10", "--rng-seed", "3"),
     ("solve", "--method", "power-iteration", "--coeffs=1e200,0"),
     ("solve", "--method", "power-iteration", "--coeffs=1e-300,0"),
