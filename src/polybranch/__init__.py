@@ -8,10 +8,9 @@ branch-counted solvers live a branch-free power-iteration solver, an
 escape-time renderer for Newton convergence fractals, and the cup-length
 counting that produces the lower bound itself.
 
-numpy is imported only by ``fractal`` (the escape-time renderer) and
-``powiter`` (power iteration).  The names re-exported here from those two
-modules, listed in ``_LAZY``, load their module on first use, so the
-scalar solvers, the bound and every command that uses only them never
+numpy is imported only by ``fractal`` (the escape-time renderer).  The
+names re-exported here from it, listed in ``_LAZY``, load it on first use,
+so the solvers, the bound and every command that uses only them never
 import numpy.
 """
 
@@ -43,37 +42,32 @@ from .poly import (
     has_repeated_roots,
     roots_to_poly,
 )
+from .powiter import (
+    CompanionMatrix,
+    PowerIterResult,
+    companion,
+    detect_equal_magnitude,
+    power_iterate,
+    solve_by_power_iteration,
+)
 from .report import RootReport
 from .tracing import BranchTrace, record_decision
 
 __version__ = "0.1.0"
 
-# The names of the two numpy modules, resolved on first use (PEP 562).
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "FractalGrid",
-            "escape_times",
-            "render",
-            "rotated_frame",
-            "sector_statistics",
-            "write_image",
-            "write_pgm",
-        ),
-        "fractal",
+# fractal's names, resolved on first use (PEP 562): fractal imports numpy.
+_LAZY = dict.fromkeys(
+    (
+        "FractalGrid",
+        "escape_times",
+        "render",
+        "rotated_frame",
+        "sector_statistics",
+        "write_image",
+        "write_pgm",
     ),
-    **dict.fromkeys(
-        (
-            "CompanionMatrix",
-            "PowerIterResult",
-            "companion",
-            "detect_equal_magnitude",
-            "power_iterate",
-            "solve_by_power_iteration",
-        ),
-        "powiter",
-    ),
-}
+    "fractal",
+)
 
 
 def __getattr__(name: str):

@@ -26,6 +26,7 @@ from .closedform import solve_cubic, solve_quadratic, solve_quartic
 from .complexity import max_cup_length
 from .newton import DEFAULT_CONFIG, RADICAL_CONFIG, NewtonConfig, solve_pure_power
 from .poly import MonicPolynomial
+from .powiter import solve_by_power_iteration
 from .report import RootReport, dumps
 from .tracing import BranchTrace
 
@@ -33,9 +34,9 @@ CLOSED_FORM = {2: solve_quadratic, 3: solve_cubic, 4: solve_quartic}
 
 _DISK_RADIUS = 10.0
 
-# fractal imports numpy, so only cmd_fractal imports it.  Its four names stay
-# readable here, through the package, because bench/spans.py wraps them as
-# attributes of this module.
+# fractal is the one module that imports numpy, so only cmd_fractal imports
+# it.  Its four names stay readable here, through the package, because
+# bench/spans.py wraps them as attributes of this module.
 _FRACTAL_NAMES = ("render", "sector_statistics", "write_image", "write_pgm")
 
 
@@ -118,8 +119,6 @@ def solve(
     """
     config = config or RADICAL_CONFIG
     if method == "power-iteration":
-        from .powiter import solve_by_power_iteration
-
         return solve_by_power_iteration(
             poly, max_iters=config.max_iters, tol=config.threshold_r
         )

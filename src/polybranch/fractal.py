@@ -289,7 +289,10 @@ def render(
         raise ValueError("window must have positive extent")
     if not (math.isfinite(re1 - re0) and math.isfinite(im1 - im0)):
         raise ValueError("window extent must be finite")
-    S = _cell_centers(window, width, height)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _cell_centers(window, width, height)
+    if not np.isfinite(S).all():
+        raise ValueError("window cell centres must be finite")
     if sector is not None:
         seed_used = sector_seed(d, sector)  # raises on a sector out of range
         S_work = rotated_frame(d, S, sector)

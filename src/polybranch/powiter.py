@@ -13,9 +13,8 @@ not recover is flagged by the certificate of ``RootReport.answering``.
 from __future__ import annotations
 
 import math
+from operator import mul
 from dataclasses import dataclass
-
-import numpy as np
 
 from .poly import MonicPolynomial, deflate, ldexp_complex, scaled_horner
 from .poly import evaluate  # noqa: F401 - unused; bench/spans.py wraps powiter.evaluate
@@ -27,8 +26,6 @@ _POLISH_STEPS = 3
 _WINDOW = 8
 _OSCILLATION_FLOOR = 1e-8
 _RATIO_TOL = 0.05
-# Below this norm the squares summed by the norm's two dots leave the normal range.
-_NORM_FLOOR = 2.0 ** -511
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,7 @@ class PowerIterResult:
     """One power-iteration run: the last estimate and its per-step residuals."""
 
     eigenvalue: complex
-    eigenvector: np.ndarray
+    eigenvector: tuple[complex, ...]
     converged: bool
     residual_history: tuple[float, ...]
 
@@ -66,14 +63,28 @@ class PowerIterResult:
 
 
 def _fit_ratio(history: tuple[float, ...] | list[float]) -> float | None:
-    """Geometric decay ratio fitted to a residual sequence (log-linear LSQ)."""
-    usable = [r for r in history if r > 1e-14]
-    if len(usable) < 4:
+    """Geometric decay ratio fitted to a residual sequence: exp of the
+    least-squares slope of log r against the step index k = 0..n-1, whose
+    centred squares sum to n(n**2 - 1)/12."""
+    logs = [math.log(r) for r in history if r > 1e-14]
+    n = len(logs)
+    if n < 4:
         return None
-    logs = np.log(np.asarray(usable))
-    n = np.arange(len(usable), dtype=float)
-    slope = np.polyfit(n, logs, 1)[0]
-    return float(math.exp(slope))
+    mean_k, mean_y = (n - 1) / 2, sum(logs) / n
+    covariance = sum((k - mean_k) * (y - mean_y) for k, y in enumerate(logs))
+    return math.exp(covariance / (n * (n * n - 1) / 12))
+
+
+def _norm(v: list[complex]) -> float:
+    """The 2-norm of ``v`` by ``math.hypot``, whose squares neither underflow
+    nor overflow: it is 0 only for a zero vector, and inf only past the
+    double range."""
+    return math.hypot(*[z.real for z in v], *[z.imag for z in v])
+
+
+def _vdot(a: list[complex], b: list[complex]) -> complex:
+    """The inner product sum(conj(a_i) * b_i)."""
+    return sum(map(mul, map(complex.conjugate, a), b))
 
 
 def power_iterate(
@@ -91,17 +102,11 @@ def power_iterate(
     evaluated only at a step whose displacement is already under tol, and
     lambda once more at the end.  An iterate whose norm overflows ends the
     run early and unconverged, so such a run reports fewer than
-    ``max_iters`` iterations; one whose norm underflows is rescaled by a
-    power of two.  An exactly zero iterate F b = 0 ends the run converged
-    with eigenvalue 0: b is an eigenvector of 0.
+    ``max_iters`` iterations.  An exactly zero iterate F b = 0 ends the run
+    converged with eigenvalue 0: b is an eigenvector of 0.
 
-    Each run makes its arrays once, with every view its loop reads, and each
-    step writes its results into them; no buffer is shared between runs, and
-    none is written after the call returns, so the returned eigenvector is
-    the run's own.  The kernels and their operand order are part of the
-    bits: each norm is two strided dots, the phase comes from ``np.vdot``,
-    the displacement is ``phase * b`` with the scalar first, and entry 0 of
-    each product is a numpy scalar product.
+    The vectors are lists of complex: at degrees 2-8 an array library's
+    per-call cost outweighs its vector loops (at d = 16 it no longer does).
     """
     d = len(F.coeffs)
     if d < 1:
@@ -109,67 +114,40 @@ def power_iterate(
     # ||F||_F over the d - 1 subdiagonal ones and the coefficient column.
     parts = [x for c in F.coeffs for x in (c.real, c.imag)]
     fro = math.hypot(*parts, *[1.0] * (d - 1))
-    # F b = (head * b[-1], b[:-1] - tail * b[-1]), the column converted once.
-    head, tail = -F.coeffs[0], np.asarray(F.coeffs[1:], dtype=np.complex128)
-    # Two iterates that trade places every step, w = F b, the displacement
-    # and the product's column, with the views the loop reads.
-    b, b_new = np.zeros(d, dtype=np.complex128), np.empty(d, dtype=np.complex128)
-    b_lead, b_new_lead = b[:-1], b_new[:-1]
-    b[-1] = 1.0
-    w = np.empty(d, dtype=np.complex128)
-    w_re, w_im, w_rest, w_floats = w.real, w.imag, w[1:], w.view(np.float64)
-    disp = np.empty(d, dtype=np.complex128)
-    disp_re, disp_im = disp.real, disp.imag
-    column = np.empty(d - 1, dtype=np.complex128)
+    # F b = (head * b[-1], b[:-1] - tail * b[-1]).
+    head, tail = -F.coeffs[0], F.coeffs[1:]
+    b = [0j] * (d - 1) + [1 + 0j]
     history: list[float] = []
     converged = False
     step = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Pass n forms w = F b for the n-th iterate, then takes step n + 1.
-        for n in range(max_iters + 1):
-            # Entry 0 is a numpy scalar product and entries 1.. one array
-            # product, as numpy rounds the two differently.
-            last = b[-1]
-            w[0] = head * last
-            np.multiply(tail, last, out=column)
-            np.subtract(b_lead, column, out=w_rest)
-            if step < tol:
-                lam = complex(np.vdot(b, w))  # b is unit
-                np.multiply(lam, b, out=disp)
-                np.subtract(w, disp, out=disp)
-                converged = math.sqrt(disp_re.dot(disp_re) + disp_im.dot(disp_im)) <= tol * fro
-                if converged:
-                    break
-            if n == max_iters:
+    # Pass n forms w = F b for the n-th iterate, then takes step n + 1.
+    for n in range(max_iters + 1):
+        last = b[-1]
+        w = [head * last, *[x - c * last for x, c in zip(b, tail)]]
+        if step < tol:
+            lam = _vdot(b, w)  # b is unit
+            converged = _norm([y - lam * x for x, y in zip(b, w)]) <= tol * fro
+            if converged:
                 break
-            # Each norm is np.linalg.norm's: two dots over the real and the
-            # imaginary part, summed in that order, and a square root.
-            norm_w = math.sqrt(w_re.dot(w_re) + w_im.dot(w_im))
-            if not math.isfinite(norm_w):
-                break
-            if norm_w < _NORM_FLOOR:
-                # The squares inside the norm underflow.  Only an exactly
-                # zero iterate means a zero eigenvalue; any other is rescaled
-                # by the power of two that brings its largest part near 1.
-                peak = float(np.max(np.abs(w_floats)))
-                if peak == 0.0:
-                    converged = True
-                    break
-                np.ldexp(w_floats, -math.frexp(peak)[1], out=w_floats)
-                norm_w = math.sqrt(w_re.dot(w_re) + w_im.dot(w_im))
-            np.divide(w, norm_w, out=b_new)
-            inner = complex(np.vdot(b, b_new))
-            mag = abs(inner)
-            phase = inner / mag if mag > 0 else 1.0 + 0j
-            np.multiply(phase, b, out=disp)  # the scalar first, as in phase * b
-            np.subtract(b_new, disp, out=disp)
-            step = math.sqrt(disp_re.dot(disp_re) + disp_im.dot(disp_im))
-            history.append(step)
-            b, b_new, b_lead, b_new_lead = b_new, b, b_new_lead, b_lead
+        if n == max_iters:
+            break
+        norm_w = _norm(w)
+        if not math.isfinite(norm_w):
+            break
+        if norm_w == 0.0:
+            converged = True
+            break
+        b_new = [y / norm_w for y in w]
+        inner = _vdot(b, b_new)
+        mag = math.hypot(inner.real, inner.imag)
+        phase = inner / mag if mag > 0 else 1 + 0j
+        step = _norm([y - phase * x for x, y in zip(b, b_new)])
+        history.append(step)
+        b = b_new
     return PowerIterResult(
         # The Rayleigh quotient of the last completed step: w = F b, or 0.
-        eigenvalue=complex(np.vdot(b, w)) if history else 0j,
-        eigenvector=b,
+        eigenvalue=_vdot(b, w) if history else 0j,
+        eigenvector=tuple(b),
         converged=converged,
         residual_history=tuple(history),
     )

@@ -174,9 +174,10 @@ def test_equal_magnitude_eigenvalues_exit_with_warning_status():
 
 
 def test_power_iteration_flags_an_overflowing_iterate():
-    # t^2 + 1e200: the iterate's norm overflows on the first step.  That is
-    # an unconverged stage with its own cause, not a zero eigenvalue.
-    proc = run_cli("solve", "--method", "power-iteration", "--coeffs=1e200,0")
+    # t^2 + 1.5e308 t + 1.5e308: the iterate's norm overflows on the first
+    # step.  That is an unconverged stage with its own cause, not a zero
+    # eigenvalue.
+    proc = run_cli("solve", "--method", "power-iteration", "--coeffs=1.5e308,1.5e308")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "overflow encountered in square" not in proc.stderr
@@ -184,10 +185,23 @@ def test_power_iteration_flags_an_overflowing_iterate():
     assert any("overflow" in w and "degree-2 stage" in w for w in warnings)
 
 
+@pytest.mark.parametrize("coeffs", ["1e200,0", "-1e200,0"])
+def test_power_iteration_flags_a_tie_whose_squares_overflow(coeffs):
+    # t^2 +- 1e200: the roots +-1e100 i or +-1e100 share a modulus.  The
+    # squares of the iterate's entries leave the double range, but its norm
+    # does not, so the stage runs to the cap and reports the tie.
+    proc = run_cli("solve", "--method", "power-iteration", f"--coeffs={coeffs}")
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    warnings = json.loads(proc.stdout)["warnings"]
+    assert any("equal-magnitude" in w and "degree-2 stage" in w for w in warnings)
+
+
 def test_power_iteration_rescales_an_underflowing_iterate():
-    # t^2 + 1e-300: the first iterate's norm underflows to 0 in the sum of
-    # squares, yet the iterate is not zero.  Rescaled, the stage runs on to
-    # the tie of the roots +-1e-150 i, which share a modulus.
+    # t^2 + 1e-300: a plain sum of the first iterate's squares underflows to
+    # 0, yet the iterate is not zero.  Its norm is taken without squaring
+    # it, so the stage runs on to the tie of the roots +-1e-150 i, which
+    # share a modulus.
     proc = run_cli("solve", "--method", "power-iteration", "--coeffs=1e-300,0")
     assert proc.returncode == 2
     warnings = json.loads(proc.stdout)["warnings"]
@@ -226,6 +240,9 @@ def test_usage_errors_exit_one():
          "--window=-1e308,1e308,-1e308,1e308"),
         ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "4x4",
          "--window=-1e308,1.7e308,-1,1"),
+        # a finite extent whose cell centres overflow
+        ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "4x4",
+         "--window=-8e307,8e307,-8e307,8e307"),
     ],
 )
 def test_input_errors_through_main_are_one_line(argv, capsys, tmp_path, monkeypatch):
@@ -385,24 +402,18 @@ LAZY_NAMES = {
         "write_image",
         "write_pgm",
     ),
-    "powiter": (
-        "CompanionMatrix",
-        "PowerIterResult",
-        "companion",
-        "detect_equal_magnitude",
-        "power_iterate",
-        "solve_by_power_iteration",
-    ),
 }
 
 _NUMPY_FREE_RUN = f"""
 import contextlib, importlib, io, sys
 import polybranch
+import polybranch.powiter
 from polybranch import cli
 
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["solve", "--coeffs=1,2,3,4"]) == 0
     assert cli.main(["solve", "--pure-power", "--d", "64", "--S=1,2"]) == 0
+    assert cli.main(["solve", "--method", "power-iteration", "--coeffs=-6,11,-6"]) == 0
     assert cli.main(["bound", "--degrees", "2,3,4,5", "--samples", "20"]) == 0
 assert "numpy" not in sys.modules, "a scalar command imported numpy"
 
@@ -424,8 +435,8 @@ print("ok")
 
 
 def test_scalar_commands_never_import_numpy():
-    # fractal and powiter (the numpy modules) load on first use of one of
-    # their names; a fresh interpreter shows what the scalar commands import.
+    # fractal (the numpy module) loads on first use of one of its names; a
+    # fresh interpreter shows what the scalar commands import.
     env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_FREE_RUN], capture_output=True, text=True, env=env

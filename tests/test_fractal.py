@@ -8,6 +8,7 @@ import random
 import threading
 import time
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -416,10 +417,13 @@ def test_sector_render_equals_rotated_frame_render() -> None:
         (1, {"sector": 5}, "degree must be at least 2"),  # sector_seed checks d first
         (3, {"window": (-1e308, 1e308, -1e308, 1e308)}, "extent must be finite"),
         (3, {"window": (-1e308, 1.7e308, -1.0, 1.0)}, "extent must be finite"),
+        # a finite extent whose product with a cell index overflows
+        (3, {"window": (-8e307, 8e307, -8e307, 8e307)}, "cell centres must be finite"),
     ],
 )
 def test_render_rejects_an_empty_window_grid_or_sector(d, kwargs, message) -> None:
-    with pytest.raises(ValueError, match=message):
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=message):
+        warnings.simplefilter("error")
         render(d, **{"resolution": (8, 8), **kwargs})
 
 

@@ -74,67 +74,67 @@ def test_companion_eigenvalues_are_the_roots() -> None:
         assert multiset_max_distance(eig[None, :], oracle[None, :])[0] < 1e-8
 
 
-def reference_apply(F: CompanionMatrix, v: np.ndarray) -> np.ndarray:
-    """The structured product F v with the coefficient column converted on
-    every call."""
-    v = np.asarray(v, dtype=np.complex128)
-    out = np.empty_like(v)
+def reference_apply(F: CompanionMatrix, v: list[complex]) -> list[complex]:
+    """The structured product F v: (-a0 v[-1], v[:-1] - a[1:] v[-1])."""
     last = v[-1]
-    out[0] = -F.coeffs[0] * last
-    if len(F.coeffs) > 1:
-        out[1:] = v[:-1]
-        out[1:] -= np.asarray(F.coeffs[1:], dtype=np.complex128) * last
-    return out
+    return [-F.coeffs[0] * last] + [x - c * last for x, c in zip(v[:-1], F.coeffs[1:])]
+
+
+def reference_norm(v: list[complex]) -> float:
+    return math.hypot(*[z.real for z in v], *[z.imag for z in v])
+
+
+def reference_vdot(a: list[complex], b: list[complex]) -> complex:
+    return sum(x.conjugate() * y for x, y in zip(a, b))
 
 
 # ------------------------------------------------------------- power_iterate
 
 def reference_power_iterate(F: CompanionMatrix, max_iters: int = 500, tol: float = 1e-10):
     """A frozen copy of the loop ``power_iterate`` must reproduce bit for bit:
-    ``np.linalg.norm`` for every norm, the per-call column product, and the
-    Rayleigh quotient and eigen-residual at every step.  An exactly zero
-    iterate ends the run converged, with the last Rayleigh quotient (0)."""
+    lists of complex, ``math.hypot`` for every norm, and the Rayleigh
+    quotient and eigen-residual at every step.  An exactly zero iterate ends
+    the run converged, with the last Rayleigh quotient (0)."""
     d = len(F.coeffs)
     parts = [x for c in F.coeffs for x in (c.real, c.imag)]
     fro = math.hypot(*parts, *[1.0] * (d - 1))
-    b = np.zeros(d, dtype=np.complex128)
-    b[-1] = 1.0
+    b = [0j] * (d - 1) + [1 + 0j]
     w = reference_apply(F, b)
     history: list[float] = []
     lam = 0j
     converged = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iters):
-            norm_w = float(np.linalg.norm(w))
-            if not math.isfinite(norm_w):
-                break
-            if norm_w < 2.0 ** -511:
-                peak = float(np.max(np.abs(w.view(np.float64))))
-                if peak == 0.0:
-                    converged = True
-                    break
-                w = np.ldexp(w.view(np.float64), -math.frexp(peak)[1]).view(np.complex128)
-                norm_w = float(np.linalg.norm(w))
-            b_new = w / norm_w
-            inner = complex(np.vdot(b, b_new))
-            phase = inner / abs(inner) if abs(inner) > 0 else 1.0 + 0j
-            step = float(np.linalg.norm(b_new - phase * b))
-            w = reference_apply(F, b_new)
-            lam = complex(np.vdot(b_new, w))
-            eig_res = float(np.linalg.norm(w - lam * b_new))
-            history.append(step)
-            b = b_new
-            converged = step < tol and eig_res <= tol * max(fro, 1.0)
-            if converged:
-                break
+    for _ in range(max_iters):
+        norm_w = reference_norm(w)
+        if not math.isfinite(norm_w):
+            break
+        if norm_w == 0.0:
+            converged = True
+            break
+        b_new = [y / norm_w for y in w]
+        inner = reference_vdot(b, b_new)
+        mag = math.hypot(inner.real, inner.imag)
+        phase = inner / mag if mag > 0 else 1 + 0j
+        step = reference_norm([y - phase * x for x, y in zip(b, b_new)])
+        w = reference_apply(F, b_new)
+        lam = reference_vdot(b_new, w)
+        eig_res = reference_norm([y - lam * x for x, y in zip(b_new, w)])
+        history.append(step)
+        b = b_new
+        converged = step < tol and eig_res <= tol * max(fro, 1.0)
+        if converged:
+            break
     return lam, b, converged, tuple(history)
 
 
-def bits(eigenvalue: complex, eigenvector: np.ndarray, converged: bool, history) -> tuple:
+def spelled(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def bits(eigenvalue: complex, eigenvector, converged: bool, history) -> tuple:
     """A run's outcome with every float spelled exactly, signed zeros included."""
     return (
-        (eigenvalue.real.hex(), eigenvalue.imag.hex()),
-        eigenvector.tobytes(),
+        spelled(eigenvalue),
+        tuple(spelled(z) for z in eigenvector),
         converged,
         tuple(r.hex() for r in history),
     )
@@ -171,8 +171,9 @@ def test_power_iterate_keeps_the_bits_of_the_reference_loop() -> None:
 
 
 def test_power_iterate_keeps_the_bits_of_the_reference_loop_at_the_edges() -> None:
-    assert_same_bits(companion(MonicPolynomial((1e-300, 0))))  # underflow rescale
-    assert_same_bits(companion(MonicPolynomial((1e200, 0))))  # overflow break
+    assert_same_bits(companion(MonicPolynomial((1e-300, 0))))  # squares below the range
+    assert_same_bits(companion(MonicPolynomial((1e200, 0))))  # squares above the range
+    assert_same_bits(companion(MonicPolynomial((1.5e308, 1.5e308))))  # overflow break
     for max_iters in (0, 1):
         assert_same_bits(companion(MonicPolynomial((2, -3))), max_iters=max_iters)
     # 1x1 companions, where ||F|| = |a0| may lie far below the reference's floor of 1
@@ -195,8 +196,7 @@ def stages_keep_the_bits(p: MonicPolynomial) -> None:
 
 @pytest.mark.parametrize("degree", range(1, 17))
 def test_power_iterate_keeps_the_bits_of_the_reference_loop_at_degrees_1_to_16(degree) -> None:
-    # Up to d = 16 numpy's vector loops run several full vectors and leave
-    # every tail length, past the bench's degrees 2-8.
+    # Up to d = 16, past the bench's degrees 2-8.
     rng = random.Random(2300 + degree)
     for _ in range(2):
         stages_keep_the_bits(MonicPolynomial(tuple(
@@ -213,13 +213,12 @@ def test_a_result_keeps_its_eigenvector_after_later_runs() -> None:
     rng = random.Random(2317)
     first = companion(poly_with_roots(bench_shaped_roots(rng, 1, 5)))
     result = power_iterate(first)
-    kept = result.eigenvector.tobytes()
+    assert isinstance(result.eigenvector, tuple)
+    kept = bits(result.eigenvalue, result.eigenvector, result.converged, result.residual_history)
     for degree in (5, 5, 3, 8, 1):
-        later = power_iterate(companion(poly_with_roots(bench_shaped_roots(rng, 2, degree))))
-        assert not np.shares_memory(later.eigenvector, result.eigenvector)
-        assert result.eigenvector.tobytes() == kept
+        power_iterate(companion(poly_with_roots(bench_shaped_roots(rng, 2, degree))))
     assert bits(result.eigenvalue, result.eigenvector, result.converged,
-                result.residual_history) == bits(*reference_power_iterate(first))
+                result.residual_history) == kept == bits(*reference_power_iterate(first))
 
 
 def test_concurrent_runs_give_the_sequential_bits() -> None:
@@ -259,7 +258,7 @@ def test_dominant_eigenvalue_of_a_factorable_quadratic() -> None:
     res = power_iterate(companion(MonicPolynomial((2, -3))))  # roots {2, 1}
     assert res.converged
     assert abs(res.eigenvalue - 2) < 1e-8
-    assert abs(np.linalg.norm(res.eigenvector) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(np.asarray(res.eigenvector)) - 1.0) < 1e-12
     # geometric convergence at ratio |lambda2/lambda1| = 1/2
     assert res.rate_estimate is not None
     assert abs(res.rate_estimate - 0.5) < 0.05
@@ -289,9 +288,10 @@ def test_converged_result_satisfies_the_eigen_residual_bound() -> None:
         assert res.converged
         matrix = dense(F)
         fro = np.linalg.norm(matrix)
-        defect = np.linalg.norm(matrix @ res.eigenvector - res.eigenvalue * res.eigenvector)
+        v = np.asarray(res.eigenvector)
+        defect = np.linalg.norm(matrix @ v - res.eigenvalue * v)
         assert defect <= 1e-10 * max(fro, 1.0)
-        assert abs(np.linalg.norm(res.eigenvector) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
 def test_iteration_bound_under_the_dominance_hypothesis() -> None:
@@ -332,12 +332,13 @@ def test_iteration_cap_edges() -> None:
     none = power_iterate(F, max_iters=0)  # no step: the start vector e_2
     assert none.iterations == 0
     assert not none.converged
-    assert np.array_equal(none.eigenvector, np.array([0, 1], dtype=complex))
+    assert none.eigenvector == (0j, 1 + 0j)
     assert none.residual_history == ()
     one = power_iterate(F, max_iters=1)  # one step: F e_2 = (-2, 3), normalized
     assert one.iterations == 1
     assert not one.converged
-    assert np.allclose(one.eigenvector, np.array([-2, 3]) / math.sqrt(13), rtol=0, atol=1e-15)
+    assert np.allclose(np.asarray(one.eigenvector), np.array([-2, 3]) / math.sqrt(13),
+                       rtol=0, atol=1e-15)
     # |F e_2 / |F e_2| - e_2| = sqrt(2 - 6/sqrt(13))
     assert len(one.residual_history) == 1
     assert abs(one.residual_history[0] - math.sqrt(2 - 6 / math.sqrt(13))) < 1e-15
@@ -351,8 +352,8 @@ def test_zero_start_vector_annihilation_is_signalled() -> None:
 
 
 def test_an_underflowing_iterate_is_rescaled_not_read_as_zero() -> None:
-    # t^2 + 1e-300: the first iterate (-1e-300, 0) is not zero, but the sum of
-    # squares inside its norm underflows to 0.
+    # t^2 + 1e-300: the first iterate (-1e-300, 0) is not zero, though a
+    # plain sum of its squares underflows to 0.
     res = power_iterate(companion(MonicPolynomial((1e-300, 0))))
     assert not res.converged and res.iterations == 500
     assert detect_equal_magnitude(res.residual_history)  # roots +-1e-150 i
@@ -367,6 +368,20 @@ def test_detector_examples() -> None:
     assert detect_equal_magnitude(clean) is False
     assert detect_equal_magnitude(tuple(0.5 ** k for k in range(20))) is False
     assert detect_equal_magnitude((1.0,) * 3) is False  # shorter than the window
+
+
+def test_fit_ratio_is_the_slope_numpy_polyfit_fits() -> None:
+    rng = random.Random(2600)
+    for _ in range(300):
+        ratio = rng.uniform(0.2, 1.05)
+        history = [rng.uniform(0.01, 10) * ratio ** k * math.exp(rng.gauss(0, 0.3))
+                   for k in range(rng.randint(4, 60))]
+        usable = [r for r in history if r > 1e-14]
+        if len(usable) < 4:
+            assert _fit_ratio(history) is None
+            continue
+        slope = np.polyfit(np.arange(len(usable)), np.log(usable), 1)[0]
+        assert abs(_fit_ratio(history) - math.exp(slope)) <= 1e-12 * math.exp(slope)
 
 
 # -------------------------------------------------- solve_by_power_iteration
@@ -463,8 +478,8 @@ def reference_solve_by_power_iteration(p, max_iters=500, tol=1e-10) -> RootRepor
     """A frozen copy of the stage loop ``solve_by_power_iteration`` must match
     field for field: the zero roots counted off one by one, then a ``while``
     over the roots still missing, with an exit for none left.  Every root is
-    polished on the zero-free input.  It calls the live ``power_iterate``,
-    ``_polish``, ``deflate`` and ``RootReport.answering``."""
+    polished on the zero-free input.  It runs ``reference_power_iterate``
+    and calls the live ``_polish``, ``deflate`` and ``RootReport.answering``."""
     degree = p.degree
     roots, iters, warnings = [], [], []
     while len(roots) < degree and p.coeffs[len(roots)] == 0:
@@ -480,11 +495,12 @@ def reference_solve_by_power_iteration(p, max_iters=500, tol=1e-10) -> RootRepor
             roots.append(_polish(free, -current.coeffs[0]))
             iters.append(0)
             break
-        res = power_iterate(companion(current), max_iters=max_iters, tol=tol)
-        if not res.converged:
-            if res.iterations < max_iters:
+        eigenvalue, _, converged, history = reference_power_iterate(
+            companion(current), max_iters=max_iters, tol=tol)
+        if not converged:
+            if len(history) < max_iters:
                 cause = "iterate norm overflowed"
-            elif reference_detect_equal_magnitude(res.residual_history):
+            elif reference_detect_equal_magnitude(history):
                 cause = "equal-magnitude dominant eigenvalues"
             else:
                 cause = "iteration cap reached"
@@ -493,12 +509,12 @@ def reference_solve_by_power_iteration(p, max_iters=500, tol=1e-10) -> RootRepor
                 f" roots[{len(roots)}:{degree}] unconverged"
             )
             for _ in range(remaining):
-                roots.append(res.eigenvalue)
-                iters.append(res.iterations)
+                roots.append(eigenvalue)
+                iters.append(len(history))
             break
-        z = _polish(free, res.eigenvalue)
+        z = _polish(free, eigenvalue)
         roots.append(z)
-        iters.append(res.iterations)
+        iters.append(len(history))
         current = deflate(current, z)
     return RootReport.answering(
         p,
@@ -513,7 +529,7 @@ def reference_solve_by_power_iteration(p, max_iters=500, tol=1e-10) -> RootRepor
 def report_bits(report: RootReport) -> tuple:
     """Every field of a report, each float spelled exactly."""
     return (
-        tuple((z.real.hex(), z.imag.hex()) for z in report.roots),
+        tuple(spelled(z) for z in report.roots),
         tuple(r.hex() for r in report.residuals),
         report.branch_count,
         report.method,
@@ -529,7 +545,8 @@ def test_stage_loop_keeps_the_fields_of_the_reference_loop(max_iters) -> None:
         MonicPolynomial((0j, 0j)),  # exact zero roots only
         MonicPolynomial((0j, 0j, 2, -3)),  # two exact zero roots, then 1 and 2
         poly_with_roots((2.0 ** -519, 2.0 ** -521)),
-        MonicPolynomial((1, 1, 1e200)),  # the iterate's norm overflows
+        MonicPolynomial((1.5e308, 1.5e308)),  # the iterate's norm overflows
+        MonicPolynomial((1, 1, 1e200)),  # a root of modulus 1e200 leads
     ]
     inputs += [
         poly_with_roots(bench_shaped_roots(rng, i, degree=rng.randint(1, 8)))

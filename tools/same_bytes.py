@@ -120,9 +120,15 @@ COMMANDS: list[tuple[str, ...]] = [
     ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "4x4",
      "--window=-1e308,1e308,-1e308,1e308"),
     ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "4x4", "--window=-1e308,1.7e308,-1,1"),
+    ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "4x4",
+     "--window=-8e307,8e307,-8e307,8e307"),
     ("bound", "--degrees", "2,1023", "--samples", "10", "--rng-seed", "3"),
     ("solve", "--method", "power-iteration", "--coeffs=1e200,0"),
     ("solve", "--method", "power-iteration", "--coeffs=1e-300,0"),
+    # power iteration near the top of the range: ties of modulus 1e100 whose
+    # squares overflow, and an iterate whose norm overflows
+    ("solve", "--method", "power-iteration", "--coeffs=-1e200,0"),
+    ("solve", "--method", "power-iteration", "--coeffs=1.5e308,1.5e308"),
     # coincident roots are relative to the roots' modulus
     ("solve", "--coeffs=1e-20,0"),
     ("solve", "--coeffs=3e-301,-1.3e-150"),
@@ -216,7 +222,7 @@ COMMANDS: list[tuple[str, ...]] = [
      "1.9407159194070407,-0.8713480406022562"),
     # exact zero roots are divided out before any stage: t**2 times a
     # quadratic whose roots are 1e-93 and 1e-112 in modulus, and t**2 (t + 1)
-    # next to t**3 + t**2 + t + 1e200, whose first iterate's norm overflows
+    # next to t**3 + 1e200 t**2 + t + 1, whose root near -1e200 leads
     ("solve", "--method", "power-iteration",
      "--coeffs=0;0;-7.176538697249779e-206,1.641475718065768e-205;"
      "-1.1442242796867373e-93,3.7232455117515185e-94"),
