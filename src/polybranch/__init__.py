@@ -27,8 +27,6 @@ from .complexity import (
 from .closedform import solve_cubic, solve_quadratic, solve_quartic
 from .newton import (
     NewtonConfig,
-    NewtonOutcome,
-    NoConvergenceError,
     newton_root,
     sector_seed,
     select_seed,

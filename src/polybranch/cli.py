@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .closedform import solve_cubic, solve_quadratic, solve_quartic
 from .complexity import max_cup_length
-from .newton import DEFAULT_CONFIG, RADICAL_CONFIG, NewtonConfig, solve_pure_power
+from .newton import DEFAULT_CONFIG, NewtonConfig, solve_pure_power
 from .poly import MonicPolynomial
 from .powiter import solve_by_power_iteration
 from .report import RootReport, dumps
@@ -33,6 +33,9 @@ from .tracing import BranchTrace
 CLOSED_FORM = {2: solve_quadratic, 3: solve_cubic, 4: solve_quartic}
 
 _DISK_RADIUS = 10.0
+
+# Power iteration's stopping rule; --epsilon and --max-iters set nothing else.
+POWER_CONFIG = NewtonConfig(threshold_r=1e-8)
 
 # fractal is the one module that imports numpy, so only cmd_fractal imports
 # it.  Its four names stay readable here, through the package, because
@@ -110,15 +113,17 @@ def solve(
     """All roots of ``poly`` by one method, as the ``solve`` command reports them.
 
     ``method`` is "closed-form" (degrees 2-4), "pure-power" (t**d - S, every
-    coefficient above a0 zero) or "power-iteration"; ``config`` defaults to
-    ``RADICAL_CONFIG``, as the command's flags do.  Every method's report is
+    coefficient above a0 zero) or "power-iteration".  ``config`` is power
+    iteration's tolerance and step cap, ``POWER_CONFIG`` by default as for
+    the command; the radicals of the other methods take a fixed number of
+    Newton updates and ignore it.  Every method's report is
     built by ``RootReport.answering``, which certifies it: roots that
     coincide, and roots whose Newton correction gives them away as
     inaccurate, each add a warning.  The ``solve`` command exits 2 when the
     report carries any warning.
     """
-    config = config or RADICAL_CONFIG
     if method == "power-iteration":
+        config = config or POWER_CONFIG
         return solve_by_power_iteration(
             poly, max_iters=config.max_iters, tol=config.threshold_r
         )
@@ -126,14 +131,14 @@ def solve(
     if method == "pure-power":
         if any(c != 0 for c in poly.coeffs[1:]):
             raise ValueError("pure-power needs every coefficient above a0 to be zero")
-        roots = solve_pure_power(poly.degree, -poly.coeffs[0], config, trace)
+        roots = solve_pure_power(poly.degree, -poly.coeffs[0], trace=trace)
     elif method == "closed-form":
         solver = CLOSED_FORM.get(poly.degree)
         if solver is None:
             raise ValueError(
                 f"closed-form handles degrees {tuple(CLOSED_FORM)}, got {poly.degree}"
             )
-        roots = solver(*reversed(poly.coeffs), config, trace)
+        roots = solver(*reversed(poly.coeffs), trace=trace)
     else:
         raise ValueError(f"unknown method {method!r}")
     return RootReport.answering(
@@ -146,10 +151,16 @@ def solve(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    config = NewtonConfig(threshold_r=args.epsilon, max_iters=args.max_iters)
+    epsilon, max_iters = args.epsilon, args.max_iters
+    config = NewtonConfig(
+        threshold_r=POWER_CONFIG.threshold_r if epsilon is None else epsilon,
+        max_iters=POWER_CONFIG.max_iters if max_iters is None else max_iters,
+    )
     if args.pure_power and args.method not in (None, "pure-power"):
         raise ValueError(f"--pure-power contradicts --method {args.method}")
     method = "pure-power" if args.pure_power else args.method or "closed-form"
+    if method != "power-iteration" and (epsilon, max_iters) != (None, None):
+        raise ValueError(f"--epsilon and --max-iters are for power-iteration, not {method}")
     if args.d is not None or args.S is not None:
         if method != "pure-power":
             raise ValueError(f"--d and --S are for pure-power, not {method}")
@@ -211,9 +222,9 @@ def _measure_branches(d: int, samples: int, rng: random.Random) -> tuple[int, st
 
     Degrees 2-4 exercise the closed-form solvers on coefficients drawn
     uniformly from the disk |a| <= 10; other degrees exercise the pure-power
-    solver on right-hand sides from the same disk.  Failed runs, whether
-    Newton did not converge or a radicand left the double range, still
-    contribute the branches they spent before stopping.  (A nonzero pure
+    solver on right-hand sides from the same disk.  Failed runs, where a
+    radicand or Newton's updates left the double range, still contribute
+    the branches they spent before stopping.  (A nonzero pure
     power takes 2 branches; see the ``bound`` command's description.)
     """
     solver = CLOSED_FORM.get(d)
@@ -226,7 +237,7 @@ def _measure_branches(d: int, samples: int, rng: random.Random) -> tuple[int, st
                 solver(*reversed(coeffs), trace=trace)
             else:
                 solve_pure_power(d, _random_disk(rng), trace=trace)
-        except ArithmeticError:  # NoConvergenceError, or a radicand out of range
+        except ArithmeticError:  # a radicand, or Newton's updates, out of range
             pass
         worst = max(worst, trace.branch_count)
     suite = "pure-power" if solver is None else "closed-form"
@@ -304,15 +315,12 @@ def build_parser() -> _Parser:
     solve.add_argument(
         "--epsilon",
         type=float,
-        default=RADICAL_CONFIG.threshold_r,
-        help="root tolerance (default 1e-8)",
+        help="power-iteration tolerance (default 1e-8)",
     )
     solve.add_argument(
         "--max-iters",
         type=int,
-        default=RADICAL_CONFIG.max_iters,
-        help="Newton step cap per radical, or power-iteration steps per stage"
-        " (default 100)",
+        help="power-iteration steps per stage (default 100)",
     )
     solve.set_defaults(func=cmd_solve)
 

@@ -1,9 +1,9 @@
 """Closed-form solvers for degrees 2-4 with every radical branch counted.
 
-All square and cube roots go through the seeded Newton kernel -- never
-through built-in fractional powers -- so the decision count of a solve is
-exactly its radicals' half-plane tests, one each, and its degenerate-case
-tests:
+All square and cube roots go through ``scaled_root`` -- never through
+built-in fractional powers -- whose seeded Newton kernel takes a fixed
+number of updates, so the decision count of a solve is exactly its
+radicals' half-plane tests, one each, and its degenerate-case tests:
 
 * quadratic: one square root, 1 branch on every path;
 * cubic: one square root plus the cube roots (the second cube root is paired
@@ -20,6 +20,10 @@ not already force.  A radicand of exactly 0 is handled by ``scaled_root``.
 Every guard and test compares terms of one degree in the roots, with no
 absolute floor, so t -> 2**k t multiplies the roots by 2**k and leaves the
 decision list as it is, wherever no intermediate leaves the double range.
+
+Each solver's ``config`` slot is accepted and ignored: ``bench/`` passes a
+config positionally, and ROADMAP.md's benchmark change (direction 5)
+deletes the slot.
 """
 
 from __future__ import annotations

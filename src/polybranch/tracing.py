@@ -2,8 +2,9 @@
 
 A solver threads a ``BranchTrace`` through its control flow and records every
 data-dependent decision (half-plane tests, degenerate-case tests) as a
-(label, value) pair.  Loop iterations and convergence checks are
-bookkeeping, not decisions, and are tallied separately as computation steps.
+(label, value) pair.  A radical's Newton updates are a fixed number that no
+data decides, so they are computation, not decisions, and are tallied
+separately as computation steps.
 Tracing is optional: all recording helpers accept ``trace=None`` and solvers
 produce bit-identical numbers either way.
 

@@ -229,6 +229,9 @@ def test_usage_errors_exit_one():
         ("solve", "--method", "power-iteration", "--coeffs=1,2", "--S=3"),
         ("solve", "--pure-power", "--method", "power-iteration", "--d", "3", "--S=8"),
         ("solve", "--pure-power", "--method", "closed-form", "--d", "3", "--S=8"),
+        # power iteration's stopping flags, on methods that have no stopping rule
+        ("solve", "--coeffs=1,2,3", "--epsilon", "1e-12"),
+        ("solve", "--pure-power", "--d", "16", "--S=1,2", "--max-iters", "7"),
         ("fractal", "--d", "1", "--out", "o.ppm"),
         ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "512"),
         ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "0x5"),
@@ -458,17 +461,28 @@ def test_the_names_the_benchmark_wraps_keep_their_call_shapes(monkeypatch):
     for module, attr, _ in spans.TARGETS:
         assert callable(getattr(importlib.import_module("polybranch." + module), attr))
 
-    calls = []
+    # bench/layers.py records the arguments of these three calls and replays
+    # them: scaled_root's as a[:3] + (trace,), newton_root's as a[:4] + (trace,).
+    calls = {}
     for module, attr in (
         (closedform, "scaled_root"), (newton, "select_seed"), (newton, "newton_root")
     ):
         def recorded(*args, _fn=getattr(module, attr), _name=attr, **kwargs):
-            calls.append(_name)
+            calls.setdefault(_name, []).append(args)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, recorded)
-    closedform.solve_quadratic(2 + 0j, 5 + 0j, newton.RADICAL_CONFIG, BranchTrace())
+    tight = newton.NewtonConfig(threshold_r=1e-8)  # bench/workloads.py's TIGHT
+    closedform.solve_quadratic(2 + 0j, 5 + 0j, tight, BranchTrace())
     assert sorted(calls) == ["newton_root", "scaled_root", "select_seed"]
+    monkeypatch.undo()
+    trace = BranchTrace()
+    (radical,), (kernel,) = calls["scaled_root"], calls["newton_root"]
+    assert newton.scaled_root(*radical[:3], trace) == 4j
+    assert newton.newton_root(*kernel[:4], trace) == 0.5  # sqrt(16 / 2**6), the reduced radical
+    assert newton.select_seed(*calls["select_seed"][0][:2], trace)[1] == 1
+    assert newton.solve_pure_power(16, 1 + 2j, tight, trace)[0] == newton.scaled_root(16, 1 + 2j)
+    assert trace.branch_count == 4
 
     assert list(inspect.signature(fractal.render).parameters)[5] == "workers"
     grid = fractal.render(3, 1 + 0j, None, (-1.0, 1.0, -1.0, 1.0), (2, 2), 1)

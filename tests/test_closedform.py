@@ -15,7 +15,6 @@ from polybranch import (
     BranchTrace,
     MonicPolynomial,
     NewtonConfig,
-    NoConvergenceError,
     evaluate,
     roots_to_poly,
     solve_cubic,
@@ -321,19 +320,20 @@ def test_expanding_the_returned_roots_recovers_the_coefficients() -> None:
 
 
 def test_solvers_default_to_the_tight_radius() -> None:
-    # Without a config every radical stops at threshold_r = 1e-8, as the CLI
-    # does; the escape-time radius 0.1 would stop sqrt(2) at 1.41666.
+    # Every radical takes the same fixed updates with or without a config:
+    # the slot is accepted and ignored.
     assert solve_quadratic(0, -2) == solve_quadratic(0, -2, TIGHT)
     assert solve_cubic(1, 2, 3) == solve_cubic(1, 2, 3, TIGHT)
     assert solve_quartic(1, 2, 3, 4) == solve_quartic(1, 2, 3, 4, TIGHT)
     assert solve_pure_power(5, 1 + 2j) == solve_pure_power(5, 1 + 2j, TIGHT)
 
 
-def test_radical_failure_propagates_as_no_convergence() -> None:
-    # t^2 - i/4: the square root of the discriminant i cannot meet a
-    # convergence radius below the spacing of doubles near its root.
-    with pytest.raises(NoConvergenceError):
-        solve_quadratic(0, -0.25j, NewtonConfig(threshold_r=5e-324))
+def test_radical_failure_propagates_as_arithmetic_error() -> None:
     # a radicand that is not finite is rejected before any Newton step
-    with pytest.raises(ArithmeticError):
-        solve_quadratic(complex(float("nan"), 0), 1)
+    trace = BranchTrace()
+    with pytest.raises(ArithmeticError, match=r"t\*\*2 = .*not finite"):
+        solve_quadratic(complex(float("nan"), 0), 1, None, trace)
+    assert (trace.branch_count, trace.computation_count) == (0, 0)
+    # a radius no double can meet is ignored, not a failure: t^2 - i/4
+    unmet = NewtonConfig(threshold_r=5e-324)
+    assert solve_quadratic(0, -0.25j, unmet) == solve_quadratic(0, -0.25j)

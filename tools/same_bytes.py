@@ -70,6 +70,10 @@ COMMANDS: list[tuple[str, ...]] = [
     ("solve", "--pure-power", "--d", "3", "--S=1e-310"),
     ("solve", "--pure-power", "--d", "5", "--S=5e-324"),
     ("solve", "--pure-power", "--d", "600", "--S=1e300"),
+    # reduced radicands near the top of the double range, and one out of reach
+    ("solve", "--pure-power", "--d", "2030", "--S=-5e-307,-5e-307"),
+    ("solve", "--pure-power", "--d", "2040", "--S=-3e306,1e306"),
+    ("solve", "--pure-power", "--d", "4000", "--S=5e-324"),
     # solve, power iteration
     ("solve", "--method", "power-iteration", "--coeffs=-1,0"),
     ("solve", "--method", "power-iteration", "--coeffs=-6,11,-6"),
