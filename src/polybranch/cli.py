@@ -17,6 +17,7 @@ trailing semicolon marks a single complex coefficient).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import random
 import sys
@@ -34,8 +35,8 @@ CLOSED_FORM = {2: solve_quadratic, 3: solve_cubic, 4: solve_quartic}
 
 _DISK_RADIUS = 10.0
 
-# Power iteration's stopping rule; --epsilon and --max-iters set nothing else.
-POWER_CONFIG = NewtonConfig(threshold_r=1e-8)
+# Power iteration's stopping rule: --epsilon and --max-iters default to it.
+POWER_CONFIG = NewtonConfig(threshold_r=1e-8, max_iters=100)
 
 # fractal is the one module that imports numpy, so only cmd_fractal imports
 # it.  Its four names stay readable here, through the package, because
@@ -108,7 +109,7 @@ def _parse_resolution(text: str) -> tuple[int, int]:
 def solve(
     poly: MonicPolynomial,
     method: str = "closed-form",
-    config: NewtonConfig | None = None,
+    config: NewtonConfig = POWER_CONFIG,
 ) -> RootReport:
     """All roots of ``poly`` by one method, as the ``solve`` command reports them.
 
@@ -123,7 +124,6 @@ def solve(
     report carries any warning.
     """
     if method == "power-iteration":
-        config = config or POWER_CONFIG
         return solve_by_power_iteration(
             poly, max_iters=config.max_iters, tol=config.threshold_r
         )
@@ -151,16 +151,14 @@ def solve(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    epsilon, max_iters = args.epsilon, args.max_iters
-    config = NewtonConfig(
-        threshold_r=POWER_CONFIG.threshold_r if epsilon is None else epsilon,
-        max_iters=POWER_CONFIG.max_iters if max_iters is None else max_iters,
-    )
     if args.pure_power and args.method not in (None, "pure-power"):
         raise ValueError(f"--pure-power contradicts --method {args.method}")
     method = "pure-power" if args.pure_power else args.method or "closed-form"
-    if method != "power-iteration" and (epsilon, max_iters) != (None, None):
+    flags = (("threshold_r", args.epsilon), ("max_iters", args.max_iters))
+    given = {name: value for name, value in flags if value is not None}
+    if given and method != "power-iteration":
         raise ValueError(f"--epsilon and --max-iters are for power-iteration, not {method}")
+    config = dataclasses.replace(POWER_CONFIG, **given) if given else POWER_CONFIG
     if args.d is not None or args.S is not None:
         if method != "pure-power":
             raise ValueError(f"--d and --S are for pure-power, not {method}")
@@ -315,12 +313,12 @@ def build_parser() -> _Parser:
     solve.add_argument(
         "--epsilon",
         type=float,
-        help="power-iteration tolerance (default 1e-8)",
+        help=f"power-iteration tolerance (default {POWER_CONFIG.threshold_r})",
     )
     solve.add_argument(
         "--max-iters",
         type=int,
-        help="power-iteration steps per stage (default 100)",
+        help=f"power-iteration steps per stage (default {POWER_CONFIG.max_iters})",
     )
     solve.set_defaults(func=cmd_solve)
 

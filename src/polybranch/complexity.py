@@ -9,6 +9,7 @@ length is a weight-budgeted subset-selection problem solved here greedily.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,33 +98,25 @@ class CupLengthCertificate:
         return smale_bound(self.d)
 
 
-def _integer_budget(d: int) -> int:
-    """Largest integer s with 2**s <= d (exact, no float log)."""
-    return d.bit_length() - 1
-
-
 def max_cup_length(d: int) -> CupLengthCertificate:
     """Greedy maximum-cardinality family with total weight <= log2(d).
 
     Takes pairs in ascending weight, ties broken by ascending m; since every
     pair of weight w costs w, no larger family exists (any n pairs weigh at
     least as much as the n cheapest).  The weight cap is the largest integer
-    below log2(d), which equals log2(d) itself for powers of two.
+    not above log2(d), which equals log2(d) itself for powers of two.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
-    budget = _integer_budget(d)
+    budget = d.bit_length() - 1  # the largest s with 2**s <= d, exactly
     chosen: list[GeneratorPair] = []
     total = 0
-    w = 1
-    while total + w <= budget:
+    for w in itertools.count(1):
         for m in range(1, w + 1):
             if total + w > budget:
-                break
+                return CupLengthCertificate(d=d, pairs=tuple(chosen))
             chosen.append(GeneratorPair(m, w - m))
             total += w
-        w += 1
-    return CupLengthCertificate(d=d, pairs=tuple(chosen))
 
 
 def verify_lemma_claim(d: int) -> bool:

@@ -246,6 +246,11 @@ def test_usage_errors_exit_one():
         # a finite extent whose cell centres overflow
         ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "4x4",
          "--window=-8e307,8e307,-8e307,8e307"),
+        # stopping flags that power iteration would refuse too: the method
+        # refuses them before any value is read
+        ("solve", "--coeffs=-1,0", "--epsilon", "inf"),
+        ("solve", "--coeffs=1,2", "--max-iters", "0"),
+        ("solve", "--pure-power", "--d", "3", "--S=2", "--epsilon", "inf"),
     ],
 )
 def test_input_errors_through_main_are_one_line(argv, capsys, tmp_path, monkeypatch):
@@ -255,7 +260,19 @@ def test_input_errors_through_main_are_one_line(argv, capsys, tmp_path, monkeypa
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[0] == "solve" and {"--epsilon", "--max-iters"} & set(argv):
+        assert err.startswith("error: --epsilon and --max-iters are for power-iteration, not ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_help_prints_the_power_iteration_defaults(capsys, monkeypatch):
+    for config in (cli.POWER_CONFIG, newton.NewtonConfig(threshold_r=2.5e-5, max_iters=37)):
+        monkeypatch.setattr(cli, "POWER_CONFIG", config)
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"tolerance (default {config.threshold_r})" in text
+        assert f"per stage (default {config.max_iters})" in text
 
 
 @pytest.mark.parametrize(

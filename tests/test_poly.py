@@ -256,6 +256,17 @@ def test_residual_of_a_value_beyond_the_double_range_is_inf() -> None:
     assert residual(MonicPolynomial((0j,)), complex(1.5e308, 1.5e308)) == math.inf
 
 
+def test_a_report_refuses_misaligned_fields_and_a_negative_branch_count() -> None:
+    fields = {"roots": (1j, -1j), "residuals": (0.0, 0.0), "branch_count": 0,
+              "method": "-", "per_root_iterations": (3, 3)}
+    RootReport(**fields)
+    for name, value in [("roots", (1j,)), ("residuals", (0.0,)), ("per_root_iterations", (3,) * 3)]:
+        with pytest.raises(ValueError, match="must align"):
+            RootReport(**{**fields, name: value})
+    with pytest.raises(ValueError, match="nonnegative"):
+        RootReport(**{**fields, "branch_count": -1})
+
+
 def test_validation_errors() -> None:
     with pytest.raises(ValueError):
         MonicPolynomial(())

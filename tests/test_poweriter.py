@@ -185,6 +185,11 @@ def test_power_iterate_keeps_the_bits_of_the_reference_loop_at_the_edges() -> No
         assert assert_same_bits(companion(MonicPolynomial(coeffs))) == 0
 
 
+def test_power_iterate_refuses_an_empty_matrix() -> None:
+    with pytest.raises(ValueError, match="empty matrix"):
+        power_iterate(CompanionMatrix(()))
+
+
 def stages_keep_the_bits(p: MonicPolynomial) -> None:
     """Every stage down to the 1x1 companion, each deflated by the estimate."""
     while True:
@@ -372,10 +377,12 @@ def test_detector_examples() -> None:
 
 def test_fit_ratio_is_the_slope_numpy_polyfit_fits() -> None:
     rng = random.Random(2600)
+    histories = [[1.0, 1e-15, 1e-16, 1e-17, 1e-18]]  # one entry above the 1e-14 floor
     for _ in range(300):
         ratio = rng.uniform(0.2, 1.05)
-        history = [rng.uniform(0.01, 10) * ratio ** k * math.exp(rng.gauss(0, 0.3))
-                   for k in range(rng.randint(4, 60))]
+        histories.append([rng.uniform(0.01, 10) * ratio ** k * math.exp(rng.gauss(0, 0.3))
+                          for k in range(rng.randint(4, 60))])
+    for history in histories:
         usable = [r for r in history if r > 1e-14]
         if len(usable) < 4:
             assert _fit_ratio(history) is None

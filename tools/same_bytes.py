@@ -205,6 +205,16 @@ COMMANDS: list[tuple[str, ...]] = [
     ("solve", "--method", "power-iteration", "--coeffs=1,2", "--S=3"),
     ("solve", "--pure-power", "--method", "power-iteration", "--d", "3", "--S=8"),
     ("solve", "--pure-power", "--method", "closed-form", "--d", "3", "--S=8"),
+    # --epsilon and --max-iters are refused off power iteration before their
+    # values are read, so a value NewtonConfig would refuse gets the refusal
+    # that names the method.  Against a tree that built the config first, the
+    # first and last of these, and "solve --epsilon inf --coeffs=-1,0", differ
+    # on stderr only; on power iteration NewtonConfig still refuses the value,
+    # in the same bytes.  "solve --help" differs too: its defaults print from
+    # POWER_CONFIG, as 1e-08 and 100.
+    ("solve", "--coeffs=1,2", "--max-iters", "0"),
+    ("solve", "--method", "power-iteration", "--coeffs=1,2", "--epsilon", "0"),
+    ("solve", "--pure-power", "--d", "3", "--S=2", "--epsilon", "inf"),
     # one-column and one-row frames: every PGM token ends a row, and a cap
     # above 255 maps two counts to one colour; then a grid too large to
     # allocate, which is one error line
