@@ -222,8 +222,8 @@ def _measure_branches(d: int, samples: int, rng: random.Random) -> tuple[int, st
     uniformly from the disk |a| <= 10; other degrees exercise the pure-power
     solver on right-hand sides from the same disk.  Failed runs, where a
     radicand or Newton's updates left the double range, still contribute
-    the branches they spent before stopping.  (A nonzero pure
-    power takes 2 branches; see the ``bound`` command's description.)
+    the branches they spent before stopping.  (A pure power takes 1 branch
+    at every d and S; see the ``bound`` command's description.)
     """
     solver = CLOSED_FORM.get(d)
     worst = 0
@@ -347,7 +347,7 @@ def build_parser() -> _Parser:
         " branch count meets the Smale bound (log2 d)^(2/3) - 1 and the"
         " cup-length certificate behind it; bound_satisfied is the strict"
         " measured > smale_bound.  Other degrees measure the family t**d = S,"
-        " whose 2 branches read false from d = 37 on: the bound is for the"
+        " whose 1 branch reads false from d = 8 on: the bound is for the"
         " general degree-d polynomial.",
     )
     bound.add_argument("--degrees", required=True, help="comma list, e.g. 2,3,4")

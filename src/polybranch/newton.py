@@ -215,19 +215,14 @@ def solve_pure_power(
     config: NewtonConfig | None = None,
     trace: BranchTrace | None = None,
 ) -> tuple[complex, ...]:
-    """All d roots of t**d - S using 2 recorded branches, or 1 when S = 0.
+    """All d roots of t**d - S for the one branch ``scaled_root`` records.
 
-    One branch tests S = 0 (all roots collapse to 0); otherwise the
-    half-plane test picks the seed, one radical finds one root, and
-    the rest are its exact rotations: that root times the unit roots
-    exp(2j*pi*j/d), j = 1..d-1, which are built once per degree (a bounded
-    number of degrees kept) and shared.  ``config`` is accepted and ignored,
-    as in ``newton_root``.
+    That half-plane test, on which ``scaled_root`` also answers S = 0, is the
+    least any algorithm for the family spends: its covering has Schwarz
+    genus 2.  The other roots are exact rotations of the first by the unit
+    roots exp(2j*pi*j/d), j = 1..d-1, built once per degree (a bounded number
+    of degrees kept) and shared; at S = 0 some of their parts are -0.0.
+    ``config`` is accepted and ignored, as in ``newton_root``.
     """
-    if d < 2:
-        raise ValueError("degree must be at least 2")
-    S = complex(S)
-    if record_decision(trace, "radicand_zero", S == 0):
-        return (0j,) * d
     principal = scaled_root(d, S, config, trace)
     return (principal, *(principal * w for w in _unit_roots(d)))

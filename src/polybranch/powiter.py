@@ -4,10 +4,12 @@ The alternative to branch-counted solving trades decisions for iteration:
 exact zero roots divided out first, then a fixed starting vector (the last
 basis vector), a fixed update, deflation, and a fixed 3-step Newton polish
 on the zero-free input.  No quantity of the input ever selects a code path,
-so the decision count of this method is 0 by construction.  The price is a
-genuine failure mode: dominant eigenvalues of equal magnitude never settle,
-and are detected and flagged rather than resolved.  A root the polish does
-not recover is flagged by the certificate of ``RootReport.answering``.
+so the decision count of this method is 0 by construction.  A stage stops
+once its iterate moves less than tol, which bounds its eigen-residual by
+||F||_2 tol.  The price is a genuine failure mode: dominant eigenvalues of
+equal magnitude never settle, and are detected and flagged rather than
+resolved.  The certificate of ``RootReport.answering`` flags a root the
+polish does not recover.
 """
 
 from __future__ import annotations
@@ -95,15 +97,16 @@ def power_iterate(
     """Power iteration from the last basis vector, Rayleigh-quotient readout.
 
     The per-step residual is the phase-aligned displacement
-    ||b_n - exp(i phi) b_{n-1}|| (phi chosen to cancel the rotating phase of a
-    complex dominant eigenvalue).  Converged requires both that displacement
-    and the eigen-residual ||F v - lambda v|| (relative to ||F||) under tol;
-    the eigen-residual, and the Rayleigh quotient lambda it needs, are
-    evaluated only at a step whose displacement is already under tol, and
-    lambda once more at the end.  An iterate whose norm overflows ends the
-    run early and unconverged, so such a run reports fewer than
-    ``max_iters`` iterations.  An exactly zero iterate F b = 0 ends the run
-    converged with eigenvalue 0: b is an eigenvector of 0.
+    step_n = ||b_n - phi b_{n-1}||, with |phi| = 1 chosen to cancel the
+    rotating phase of a complex dominant eigenvalue, and the run has
+    converged at the first step with step_n < tol.  That one test bounds the
+    eigen-residual too: b_n = phi b_{n-1} + e and F b_{n-1} = |F b_{n-1}| b_n
+    give F b_n - lambda_n b_n = (I - b_n b_n*) F e for the Rayleigh quotient
+    lambda_n = b_n* F b_n, so ||F b_n - lambda_n b_n|| <= ||F||_2 step_n.
+    lambda is read once, at the end.  An iterate whose norm overflows ends
+    the run early and unconverged, with fewer than ``max_iters`` iterations.
+    An exactly zero iterate F b = 0 ends the run converged with eigenvalue
+    0: b is an eigenvector of 0.
 
     The vectors are lists of complex: at degrees 2-8 an array library's
     per-call cost outweighs its vector loops (at d = 16 it no longer does).
@@ -111,9 +114,6 @@ def power_iterate(
     d = len(F.coeffs)
     if d < 1:
         raise ValueError("empty matrix")
-    # ||F||_F over the d - 1 subdiagonal ones and the coefficient column.
-    parts = [x for c in F.coeffs for x in (c.real, c.imag)]
-    fro = math.hypot(*parts, *[1.0] * (d - 1))
     # F b = (head * b[-1], b[:-1] - tail * b[-1]).
     head, tail = -F.coeffs[0], F.coeffs[1:]
     b = [0j] * (d - 1) + [1 + 0j]
@@ -125,10 +125,8 @@ def power_iterate(
         last = b[-1]
         w = [head * last, *[x - c * last for x, c in zip(b, tail)]]
         if step < tol:
-            lam = _vdot(b, w)  # b is unit
-            converged = _norm([y - lam * x for x, y in zip(b, w)]) <= tol * fro
-            if converged:
-                break
+            converged = True
+            break
         if n == max_iters:
             break
         norm_w = _norm(w)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from contextlib import suppress
@@ -101,6 +102,10 @@ class RootReport:
         return len(self.roots)
 
     def to_json(self) -> str:
+        """``dumps``'s JSON; strict JSON has no value beyond the double range."""
+        for j, (z, residual) in enumerate(zip(self.roots, self.residuals)):
+            if not (cmath.isfinite(z) and math.isfinite(residual)):
+                raise ValueError(f"roots[{j}] or its residual is beyond the double range")
         return dumps(
             {
                 "degree": self.degree,

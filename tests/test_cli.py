@@ -142,7 +142,7 @@ def test_solve_pure_power_cube_root():
     payload = json.loads(proc.stdout)
     assert payload["method"] == "pure-power"
     assert payload["degree"] == 3
-    assert payload["branch_count"] == 2
+    assert payload["branch_count"] == 1
     expected = [2 * complex(math.cos(2 * math.pi * j / 3), math.sin(2 * math.pi * j / 3)) for j in range(3)]
     found = roots_as_complex(payload)
     for want in expected:
@@ -263,6 +263,17 @@ def test_input_errors_through_main_are_one_line(argv, capsys, tmp_path, monkeypa
     if argv[0] == "solve" and {"--epsilon", "--max-iters"} & set(argv):
         assert err.startswith("error: --epsilon and --max-iters are for power-iteration, not ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("coeffs", ["1,1e300,1", "1e300,1e300,1e300"])
+def test_a_report_beyond_the_double_range_is_one_error_line(coeffs, capsys):
+    # Power iteration's partial result for these ties has a residual of inf,
+    # which strict JSON cannot hold: the report is refused, naming its root.
+    assert main(["solve", "--method", "power-iteration", f"--coeffs={coeffs}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: roots[0] or its residual is beyond the double range\n"
+    assert "JSON compliant" not in err
 
 
 def test_solve_help_prints_the_power_iteration_defaults(capsys, monkeypatch):
@@ -499,7 +510,7 @@ def test_the_names_the_benchmark_wraps_keep_their_call_shapes(monkeypatch):
     assert newton.newton_root(*kernel[:4], trace) == 0.5  # sqrt(16 / 2**6), the reduced radical
     assert newton.select_seed(*calls["select_seed"][0][:2], trace)[1] == 1
     assert newton.solve_pure_power(16, 1 + 2j, tight, trace)[0] == newton.scaled_root(16, 1 + 2j)
-    assert trace.branch_count == 4
+    assert trace.branch_count == 3
 
     assert list(inspect.signature(fractal.render).parameters)[5] == "workers"
     grid = fractal.render(3, 1 + 0j, None, (-1.0, 1.0, -1.0, 1.0), (2, 2), 1)
@@ -866,17 +877,17 @@ def test_bound_table_covers_requested_degrees():
 
 def test_bound_keeps_its_table_when_a_sample_leaves_the_double_range(monkeypatch, capsys):
     # Every d = 1023 radicand of this suite reduces into range and takes the
-    # family's 2 branches.
+    # family's 1 branch.
     proc = run_cli("bound", "--degrees", "2,1023", "--samples", "10", "--rng-seed", "3")
     assert proc.returncode == 0
     rows = json.loads(proc.stdout)["rows"]
     assert [row["d"] for row in rows] == [2, 1023]
-    assert rows[1]["measured_branches"] == 2
+    assert rows[1]["measured_branches"] == 1
     # No disk radicand leaves the range at any degree, so a stand-in solver
-    # does: it spends both branches and raises.  The sample counts the
-    # branches it spent, like a run that did not converge, and the table stays.
+    # does: it spends the branch the real solver records and raises.  The
+    # sample counts the branch it spent, like a run that did not converge,
+    # and the table stays.
     def out_of_range(d, S, config=None, trace=None):
-        record_decision(trace, "radicand_zero", False)
         record_decision(trace, "seed_sector_0", True)
         raise ArithmeticError(f"t**{d} = {S!r}: S leaves the double range")
 
@@ -884,7 +895,7 @@ def test_bound_keeps_its_table_when_a_sample_leaves_the_double_range(monkeypatch
     assert main(["bound", "--degrees", "2,5000", "--samples", "3"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [row["d"] for row in rows] == [2, 5000]
-    assert rows[1]["measured_branches"] == 2
+    assert rows[1]["measured_branches"] == 1
 
 
 def test_bound_large_degree_uses_pure_power_suite():
@@ -894,10 +905,10 @@ def test_bound_large_degree_uses_pure_power_suite():
     assert set(row) == BOUND_ROW_KEYS
     assert row["suite"] == "pure-power"
     assert row["smale_bound"] == 3.0
-    # The zero test and the half-plane test: 2 branches suffice for the
-    # family t**d = S at every degree, below the bound for general degree-d
-    # polynomials from d = 37 on.
-    assert row["measured_branches"] == 2
+    # The half-plane test: 1 branch suffices for the family t**d = S at
+    # every degree, below the bound for general degree-d polynomials from
+    # d = 8 on.
+    assert row["measured_branches"] == 1
     assert row["bound_satisfied"] is False
 
 

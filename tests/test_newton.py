@@ -25,7 +25,6 @@ from polybranch import (
 )
 from polybranch import newton
 from polybranch.newton import DIVERGENCE_BAILOUT, NEWTON_STEPS, scaled_root, sector_index
-from polybranch.tracing import record_decision
 
 TIGHT = NewtonConfig(threshold_r=1e-8)
 _EPS = sys.float_info.epsilon
@@ -507,7 +506,7 @@ def test_pure_power_zero_radicand_short_circuits() -> None:
     roots = solve_pure_power(3, 0, trace=trace)
     assert roots == (0j, 0j, 0j)
     assert trace.branch_count == 1
-    assert trace.labels() == ["radicand_zero"]
+    assert trace.labels() == ["seed_sector_0"]
 
 
 def test_pure_power_branch_ceiling_and_residuals() -> None:
@@ -517,7 +516,7 @@ def test_pure_power_branch_ceiling_and_residuals() -> None:
         S = random_complex(rng)
         trace = BranchTrace()
         roots = solve_pure_power(d, S, TIGHT, trace)
-        assert trace.branch_count == (1 if S == 0 else 2)
+        assert trace.branch_count == 1
         assert len(roots) == d
         tol = root_tolerance(d, abs(S))
         for r in roots:
@@ -570,14 +569,11 @@ def reference_newton_root(d, radicand, seed, config=None, trace=None):
 
 
 def reference_solve_pure_power(d, S, config=None, trace=None):
-    """The zero test, ``scaled_root`` and a rotation that calls exp per root.
+    """``scaled_root`` and a rotation that calls exp per root.
 
     Run it with ``newton.newton_root`` patched to the reference above, which
     ``scaled_root`` then calls.
     """
-    S = complex(S)
-    if record_decision(trace, "radicand_zero", S == 0):
-        return (0j,) * d
     principal = scaled_root(d, S, config, trace)
     return tuple(
         principal if j == 0 else principal * cmath.exp(2j * math.pi * j / d)
@@ -622,11 +618,15 @@ def test_pure_power_keeps_the_bits_of_the_reference_path(d, monkeypatch) -> None
         inputs, change, parent
     ):
         assert [bits(r) for r in roots] == [bits(r) for r in ref_roots], S
-        want = [("radicand_zero", S == 0)]
-        if S != 0:
-            want.append(("seed_sector_0", sector_index(2, S) == 0))
+        # scaled_root answers S = 0 too, so every t**d = S records the one
+        # decision the family's Schwarz genus 2 requires: the edge rays,
+        # -3 - 0j and 0 among them.
+        want = [("seed_sector_0", S == 0 or sector_index(2, S) == 0)]
         assert decisions == ref_decisions == want, S
         assert steps == ref_steps, S
+        assert len(roots) == d
+        if S == 0:
+            assert all(r == 0 for r in roots)
     # scaled_root, and the kernel alone from each input's own seed.
     for S in inputs:
         out = traced(scaled_root, d, S, TIGHT)

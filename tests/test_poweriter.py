@@ -297,6 +297,22 @@ def test_converged_result_satisfies_the_eigen_residual_bound() -> None:
         defect = np.linalg.norm(matrix @ v - res.eigenvalue * v)
         assert defect <= 1e-10 * max(fro, 1.0)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        # The displacement test alone bounds the defect: ||F||_2 * step, up to
+        # the rounding of the Rayleigh quotient and of the product above.
+        spectral = np.linalg.norm(matrix, 2)
+        assert defect <= spectral * (res.residual_history[-1] + 16 * sys.float_info.epsilon)
+
+
+def test_a_tolerance_below_the_rounding_of_the_eigen_residual_converges() -> None:
+    # At tol = 1e-17 an eigen-residual test would sit under its own rounding
+    # (about eps * ||F b||) and run a settled iterate to the cap; the
+    # displacement alone reaches tol at step 53.
+    res = power_iterate(companion(roots_to_poly((2, 1))), tol=1e-17)
+    assert res.converged
+    assert abs(res.eigenvalue - 2) <= 1e-15
+    report = solve_by_power_iteration(roots_to_poly((2, 1)), tol=1e-17)
+    assert report.roots == (2, 1)
+    assert report.warnings == ()
 
 
 def test_iteration_bound_under_the_dominance_hypothesis() -> None:

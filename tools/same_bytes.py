@@ -268,6 +268,25 @@ COMMANDS: list[tuple[str, ...]] = [
      "-2.001830861895101,2.0120988334873355;"
      "3.5862648988982757,-1.624795698770906;"
      "-0.6839078699818116,0.26586507294954215"),
+    # power iteration stops on its displacement alone.  Against a tree that
+    # also tested the eigen-residual, whose rounding exceeds a tolerance of
+    # 1e-17, the first two differ: the first now converges at step 53 with
+    # the roots 2 and 1, and the second finds the real root and flags the
+    # conjugate pair as a tie where every stage ran to the cap.  The next
+    # two have residuals of inf: the report is refused with one error line
+    # naming its root, where the JSON encoder's text was printed.  Every
+    # other power-iteration command keeps its bytes.
+    ("solve", "--method", "power-iteration", "--coeffs=2,-3", "--epsilon", "1e-17"),
+    ("solve", "--method", "power-iteration", "--coeffs=1,2,3", "--epsilon", "1e-17"),
+    ("solve", "--method", "power-iteration", "--coeffs=1,1e300,1"),
+    ("solve", "--method", "power-iteration", "--coeffs=1e300,1e300,1e300"),
+    # t**d = S records one decision, the half-plane test, at every d and S.
+    # Against a tree that tested S = 0 first, every pure-power command that
+    # answers reports branch_count 1 where it reported 2 (1 at S = 0, whose
+    # rotated zeros now print some parts as -0.0), and every bound row at
+    # d >= 5 reads measured_branches 1, so bound_satisfied turns false from
+    # d = 8 on where it did from d = 37; "bound --help" says so.
+    ("bound", "--degrees", "5,7,8,36,37", "--samples", "50"),
 ]
 
 
