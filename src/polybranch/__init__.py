@@ -9,12 +9,10 @@ escape-time renderer for Newton convergence fractals, and the cup-length
 counting that produces the lower bound itself.
 
 numpy is imported only by ``fractal`` (the escape-time renderer).  The
-names re-exported here from it, listed in ``_LAZY``, load it on first use,
-so the solvers, the bound and every command that uses only them never
-import numpy.
+names re-exported here from it, listed in ``_FRACTAL_NAMES``, load it on
+first use, so the solvers, the bound and every command that uses only them
+never import numpy.
 """
-
-import importlib
 
 from .complexity import (
     CupLengthCertificate,
@@ -54,24 +52,17 @@ from .tracing import BranchTrace, record_decision
 __version__ = "0.1.0"
 
 # fractal's names, resolved on first use (PEP 562): fractal imports numpy.
-_LAZY = dict.fromkeys(
-    (
-        "FractalGrid",
-        "escape_times",
-        "render",
-        "rotated_frame",
-        "sector_statistics",
-        "write_image",
-        "write_pgm",
-    ),
-    "fractal",
+_FRACTAL_NAMES = (
+    "FractalGrid", "escape_times", "render", "rotated_frame",
+    "sector_statistics", "write_image", "write_pgm",
 )
 
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
+    if name not in _FRACTAL_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    from . import fractal
+
+    value = getattr(fractal, name)
     globals()[name] = value
     return value

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .closedform import solve_cubic, solve_quadratic, solve_quartic
 from .complexity import max_cup_length
-from .newton import DEFAULT_CONFIG, NewtonConfig, solve_pure_power
+from .newton import DEFAULT_CONFIG, NewtonConfig, scaled_root, solve_pure_power
 from .poly import MonicPolynomial
 from .powiter import solve_by_power_iteration
 from .report import RootReport, dumps
@@ -38,15 +38,14 @@ _DISK_RADIUS = 10.0
 # Power iteration's stopping rule: --epsilon and --max-iters default to it.
 POWER_CONFIG = NewtonConfig(threshold_r=1e-8, max_iters=100)
 
+
 # fractal is the one module that imports numpy, so only cmd_fractal imports
-# it.  Its four names stay readable here, through the package, because
-# bench/spans.py wraps them as attributes of this module.
-_FRACTAL_NAMES = ("render", "sector_statistics", "write_image", "write_pgm")
-
-
+# it.  Its names stay readable here, through the package, because
+# bench/spans.py wraps four of them as attributes of this module.
 def __getattr__(name: str):
-    if name in _FRACTAL_NAMES:
-        return getattr(sys.modules[__package__], name)
+    package = sys.modules[__package__]
+    if name in package._FRACTAL_NAMES:
+        return getattr(package, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -219,11 +218,12 @@ def _measure_branches(d: int, samples: int, rng: random.Random) -> tuple[int, st
     """Worst recorded branch count over a random suite for degree d.
 
     Degrees 2-4 exercise the closed-form solvers on coefficients drawn
-    uniformly from the disk |a| <= 10; other degrees exercise the pure-power
-    solver on right-hand sides from the same disk.  Failed runs, where a
-    radicand or Newton's updates left the double range, still contribute
-    the branches they spent before stopping.  (A pure power takes 1 branch
-    at every d and S; see the ``bound`` command's description.)
+    uniformly from the disk |a| <= 10; other degrees count the one radical,
+    ``scaled_root``, of t**d = S with S from the same disk (the rotations of
+    ``solve_pure_power`` record nothing).  Failed runs, where a radicand or
+    Newton's updates left the double range, still contribute the branches
+    they spent before stopping.  (A pure power takes 1 branch at every d and
+    S; see the ``bound`` command's description.)
     """
     solver = CLOSED_FORM.get(d)
     worst = 0
@@ -234,7 +234,7 @@ def _measure_branches(d: int, samples: int, rng: random.Random) -> tuple[int, st
                 coeffs = [_random_disk(rng) for _ in range(d)]
                 solver(*reversed(coeffs), trace=trace)
             else:
-                solve_pure_power(d, _random_disk(rng), trace=trace)
+                scaled_root(d, _random_disk(rng), trace=trace)
         except ArithmeticError:  # a radicand, or Newton's updates, out of range
             pass
         worst = max(worst, trace.branch_count)

@@ -1,10 +1,11 @@
 """Lower bounds on branching and the cup-length certificates behind them.
 
-The bound for degree-d solving is (log2 d)^(2/3) - 1.  Its combinatorial
-backbone is a family of ring generators indexed by pairs (m, k) with m >= 1,
-k >= 0; a product of n distinct generators survives only while the total
-index weight sum(m_i) + sum(k_i) stays within log2(d), so the certified cup
-length is a weight-budgeted subset-selection problem solved here greedily.
+The bound for degree-d solving is (log2 d)^(2/3) - 1.  Its certificate is
+counted in a model with generators (m, k), m >= 1, k >= 0, where a product of
+distinct generators counts while its weight sum(m_i + k_i) stays within
+log2(d): a budgeted subset selection, solved here greedily.  The model is not
+Fuks' presentation of the braid group's mod-2 cohomology, whose a_{m,k} has
+degree 2**k * (2**m - 1) (ROADMAP.md, direction 9).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def smale_bound(degree: int) -> float:
 
 @dataclass(frozen=True)
 class GeneratorPair:
-    """An index pair (m, k), m >= 1, k >= 0; weight m + k, ring degree 2**(m+k-1)."""
+    """An index pair (m, k), m >= 1, k >= 0, which the model charges m + k."""
 
     m: int
     k: int

@@ -108,9 +108,18 @@ class FractalGrid:
 
 def _cell_centers(window: Window, width: int, height: int) -> np.ndarray:
     re0, re1, im0, im1 = window
-    re = re0 + (np.arange(width) + 0.5) * (re1 - re0) / width
-    im = im1 - (np.arange(height) + 0.5) * (im1 - im0) / height  # row 0 on top
+    re = re0 + _cell_offsets(re1 - re0, width)
+    im = im1 - _cell_offsets(im1 - im0, height)  # row 0 on top
     return re[np.newaxis, :] + 1j * im[:, np.newaxis]
+
+
+def _cell_offsets(extent: float, n: int) -> np.ndarray:
+    """(k + 0.5) * extent / n for k < n, computed on extent / 2**e and scaled
+    back by 2**e (e: extent's binary exponent).  Both scalings are exact, so
+    no product overflows and the bits are the plain formula's wherever its
+    product is finite."""
+    e = math.frexp(extent)[1]
+    return np.ldexp((np.arange(n) + 0.5) * math.ldexp(extent, -e) / n, e)
 
 
 def _usable_cpus() -> int:
@@ -289,10 +298,7 @@ def render(
         raise ValueError("window must have positive extent")
     if not (math.isfinite(re1 - re0) and math.isfinite(im1 - im0)):
         raise ValueError("window extent must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        S = _cell_centers(window, width, height)
-    if not np.isfinite(S).all():
-        raise ValueError("window cell centres must be finite")
+    S = _cell_centers(window, width, height)
     if sector is not None:
         seed_used = sector_seed(d, sector)  # raises on a sector out of range
         S_work = rotated_frame(d, S, sector)

@@ -243,9 +243,6 @@ def test_usage_errors_exit_one():
          "--window=-1e308,1e308,-1e308,1e308"),
         ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "4x4",
          "--window=-1e308,1.7e308,-1,1"),
-        # a finite extent whose cell centres overflow
-        ("fractal", "--d", "3", "--out", "o.ppm", "--resolution", "4x4",
-         "--window=-8e307,8e307,-8e307,8e307"),
         # stopping flags that power iteration would refuse too: the method
         # refuses them before any value is read
         ("solve", "--coeffs=-1,0", "--epsilon", "inf"),
@@ -313,6 +310,17 @@ def test_non_finite_input_is_an_error_before_any_output(args, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_window_whose_cell_products_overflow_renders(capsys, tmp_path, monkeypatch):
+    # (k + 0.5) * 1e308 overflows, but every cell centre of the window is finite.
+    monkeypatch.chdir(tmp_path)
+    argv = ["fractal", "--d", "3", "--out", "o.ppm", "--resolution", "4x4"]
+    assert main([*argv, "--window=-5e307,5e307,-1,1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["window"] == [-5e307, 5e307, -1.0, 1.0]
+    assert (tmp_path / "o.ppm").stat().st_size == len(b"P6\n4 4\n255\n") + 4 * 4 * 3
 
 
 @pytest.mark.parametrize("text", ["nan,0", "1,inf", "nan;", "0;-inf,0"])
@@ -891,11 +899,20 @@ def test_bound_keeps_its_table_when_a_sample_leaves_the_double_range(monkeypatch
         record_decision(trace, "seed_sector_0", True)
         raise ArithmeticError(f"t**{d} = {S!r}: S leaves the double range")
 
-    monkeypatch.setattr(cli, "solve_pure_power", out_of_range)
+    monkeypatch.setattr(cli, "scaled_root", out_of_range)
     assert main(["bound", "--degrees", "2,5000", "--samples", "3"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [row["d"] for row in rows] == [2, 5000]
     assert rows[1]["measured_branches"] == 1
+
+
+def test_bound_builds_no_roots(monkeypatch, capsys):
+    argv = ["bound", "--degrees", "5,64", "--samples", "5"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(cli, "solve_pure_power", lambda *a, **k: pytest.fail("built roots"))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_bound_large_degree_uses_pure_power_suite():

@@ -417,14 +417,62 @@ def test_sector_render_equals_rotated_frame_render() -> None:
         (1, {"sector": 5}, "degree must be at least 2"),  # sector_seed checks d first
         (3, {"window": (-1e308, 1e308, -1e308, 1e308)}, "extent must be finite"),
         (3, {"window": (-1e308, 1.7e308, -1.0, 1.0)}, "extent must be finite"),
-        # a finite extent whose product with a cell index overflows
-        (3, {"window": (-8e307, 8e307, -8e307, 8e307)}, "cell centres must be finite"),
     ],
 )
 def test_render_rejects_an_empty_window_grid_or_sector(d, kwargs, message) -> None:
     with warnings.catch_warnings(), pytest.raises(ValueError, match=message):
         warnings.simplefilter("error")
         render(d, **{"resolution": (8, 8), **kwargs})
+
+
+@pytest.mark.parametrize(
+    "window",
+    [(-5e307, 5e307, -1.0, 1.0), (-1.0, 1.0, -5e307, 5e307), (-8e307, 8e307, -8e307, 8e307)],
+)
+@pytest.mark.parametrize("resolution", [(4, 4), (8, 8)])
+def test_render_accepts_every_window_with_finite_extents(window, resolution) -> None:
+    # (k + 0.5) times such an extent overflows, but no cell centre does.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = render(3, window=window, resolution=resolution)
+        sector_statistics(grid)
+    re0, re1, im0, im1 = window
+    centers = grid.cell_centers()
+    assert centers.shape == (resolution[1], resolution[0])
+    assert ((re0 < centers.real) & (centers.real < re1)).all()
+    assert ((im0 < centers.imag) & (centers.imag < im1)).all()
+
+
+def _plain_cell_centers(window, width: int, height: int) -> np.ndarray:
+    """The cell centres as the plain formula computes them, whose product
+    (k + 0.5) * extent can overflow: the reference for their bits."""
+    re0, re1, im0, im1 = window
+    with np.errstate(over="ignore", invalid="ignore"):
+        re = re0 + (np.arange(width) + 0.5) * (re1 - re0) / width
+        im = im1 - (np.arange(height) + 0.5) * (im1 - im0) / height
+        return re[np.newaxis, :] + 1j * im[:, np.newaxis]
+
+
+def test_cell_centers_keep_the_plain_formulas_bits_wherever_it_is_finite() -> None:
+    rng = random.Random(69)
+    # the CLI's default window, then windows shifted as the bench shifts them
+    shifts = [(0.0, 0.0)] + [(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+                             for _ in range(100)]
+    cases = [((-2 + dx, 2 + dx, -2 + dy, 2 + dy), n) for dx, dy in shifts for n in (128, 512)]
+    while len(cases) < 12_000:
+        extent = 10.0 ** rng.uniform(-300, 300)
+        lo = extent * rng.uniform(-2.0, 1.0)
+        window = (lo, lo + extent, -lo - extent, -lo)
+        if window[1] > window[0] and window[3] > window[2]:
+            cases.append((window, rng.randint(1, 1023)))
+    compared = 0
+    for window, n in cases:
+        for width, height in ((n, 1), (1, n)):
+            plain = _plain_cell_centers(window, width, height)
+            if np.isfinite(plain).all():
+                compared += 1
+                assert fractal._cell_centers(window, width, height).tobytes() == plain.tobytes()
+    assert compared >= 20_000
 
 
 def test_even_grids_avoid_the_axis_and_odd_grids_hit_it() -> None:

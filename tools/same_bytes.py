@@ -124,6 +124,10 @@ COMMANDS: list[tuple[str, ...]] = [
     ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "4x4",
      "--window=-1e308,1e308,-1e308,1e308"),
     ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "4x4", "--window=-1e308,1.7e308,-1,1"),
+    # a finite extent whose products (k + 0.5) * extent overflow.  Cell
+    # centres are now computed on the extent scaled by an exact power of two,
+    # so no product overflows: against a tree that refused such windows with
+    # "window cell centres must be finite", this one exits 0 where it exited 1
     ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "4x4",
      "--window=-8e307,8e307,-8e307,8e307"),
     ("bound", "--degrees", "2,1023", "--samples", "10", "--rng-seed", "3"),
@@ -287,6 +291,14 @@ COMMANDS: list[tuple[str, ...]] = [
     # d >= 5 reads measured_branches 1, so bound_satisfied turns false from
     # d = 8 on where it did from d = 37; "bound --help" says so.
     ("bound", "--degrees", "5,7,8,36,37", "--samples", "50"),
+    # windows whose cell products overflow although every centre is finite,
+    # which a tree that multiplied the extent first refused (exit 1); and a
+    # bound row whose pure-power samples build no root beyond the first
+    ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "4x4",
+     "--window=-5e307,5e307,-1,1"),
+    ("fractal", "--d", "3", *FRACTAL_FILES, "--resolution", "4x4",
+     "--window=-1,1,-5e307,5e307"),
+    ("bound", "--degrees", "100000", "--samples", "20"),
 ]
 
 
